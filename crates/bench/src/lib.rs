@@ -11,3 +11,10 @@
 //!
 //! Run with `cargo bench --workspace`; the measured series and the mapping to
 //! the paper's claims are recorded in `EXPERIMENTS.md`.
+//!
+//! These are kernel microbenchmarks.  The engine is measured end to end
+//! (QBE sessions over TCP against a durable store) by the standalone
+//! `qbebench` crate; see `qbebench/README.md`.  The historical
+//! `BENCH_pr2.json` … `BENCH_pr10.json` captures came from the retired
+//! per-PR perf harness of this crate as of commit `f249b8b`; they are kept
+//! as frozen records.

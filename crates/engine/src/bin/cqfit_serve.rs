@@ -9,7 +9,7 @@
 //! Binds (default `127.0.0.1:7878`), prints `listening on <addr>` to
 //! stdout once ready, and serves until a client sends
 //! `{"op":"shutdown"}`.  `--no-cache` disables the shared hom/core result
-//! cache (the uncached baseline configuration of the perf capture).
+//! cache, so every fit and exists re-runs its product, core and hom work.
 //!
 //! With `--data-dir` the engine is **durable**: workspace mutations are
 //! written to per-workspace write-ahead logs under the directory before

@@ -24,7 +24,7 @@ const MAX_ARITY: usize = 64;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Route hom/core work through a shared [`HomCache`] (default `true`).
-    /// Disabling it yields the uncached baseline used by the perf capture.
+    /// Disabling it yields the uncached baseline (`cqfit-serve --no-cache`).
     pub caching: bool,
 }
 

@@ -186,7 +186,7 @@ pub enum Request {
     Stats,
     /// A full metrics snapshot from the engine's `cqfit-obs` registry:
     /// counters, gauges, latency-histogram summaries, and the bounded
-    /// event/span rings.
+    /// event ring.
     Metrics,
     /// Forces snapshot + log-compaction of every workspace and syncs the
     /// store.  Errors when the engine has no store.
@@ -604,7 +604,7 @@ pub enum Response {
     /// Reply to [`Request::Stats`].
     Stats(EngineStats),
     /// Reply to [`Request::Metrics`]: the full `cqfit-obs` registry
-    /// snapshot (counters, gauges, histogram summaries, event/span rings).
+    /// snapshot (counters, gauges, histogram summaries, event ring).
     Metrics(cqfit_obs::Snapshot),
     /// Reply to [`Request::Persist`].
     Persisted {
@@ -878,32 +878,12 @@ impl Serialize for Response {
                         })
                         .collect(),
                 );
-                let spans = Json::Arr(
-                    snap.spans
-                        .iter()
-                        .map(|s| {
-                            let mut fields = vec![("op", Json::str(&s.op))];
-                            if let Some(ws) = &s.workspace {
-                                fields.push(("workspace", Json::str(ws)));
-                            }
-                            if let Some(id) = s.request_id {
-                                fields.push(("request_id", id.to_json()));
-                            }
-                            fields.push(("start_ns", s.start_ns.to_json()));
-                            fields.push(("decoded_ns", s.decoded_ns.to_json()));
-                            fields.push(("dispatched_ns", s.dispatched_ns.to_json()));
-                            fields.push(("replied_ns", s.replied_ns.to_json()));
-                            Json::obj(fields)
-                        })
-                        .collect(),
-                );
                 ok(vec![
                     ("kind", Json::str("metrics")),
                     ("counters", counters),
                     ("gauges", gauges),
                     ("histograms", histograms),
                     ("events", events),
-                    ("spans", spans),
                 ])
             }
             Response::Persisted {
@@ -1100,12 +1080,6 @@ impl Deserialize for Response {
                         .as_obj()
                         .ok_or_else(|| JsonError::mismatch("object", field))
                 };
-                let arr_of = |key: &str| -> Result<&[Json], JsonError> {
-                    let field = v.req(key)?;
-                    field
-                        .as_arr()
-                        .ok_or_else(|| JsonError::mismatch("array", field))
-                };
                 let counters = obj_of("counters")?
                     .iter()
                     .map(|(name, value)| Ok((name.clone(), u64::from_json(value)?)))
@@ -1130,7 +1104,10 @@ impl Deserialize for Response {
                         ))
                     })
                     .collect::<Result<Vec<_>, JsonError>>()?;
-                let events = arr_of("events")?
+                let raw = v.req("events")?;
+                let events = raw
+                    .as_arr()
+                    .ok_or_else(|| JsonError::mismatch("array", raw))?
                     .iter()
                     .map(|e| {
                         Ok(cqfit_obs::EventRecord {
@@ -1140,32 +1117,11 @@ impl Deserialize for Response {
                         })
                     })
                     .collect::<Result<Vec<_>, JsonError>>()?;
-                let spans = arr_of("spans")?
-                    .iter()
-                    .map(|s| {
-                        Ok(cqfit_obs::SpanRecord {
-                            op: req_str(s, "op")?,
-                            workspace: match s.get("workspace") {
-                                Some(ws) => Some(String::from_json(ws)?),
-                                None => None,
-                            },
-                            request_id: match s.get("request_id") {
-                                Some(id) => Some(u64::from_json(id)?),
-                                None => None,
-                            },
-                            start_ns: u64::from_json(s.req("start_ns")?)?,
-                            decoded_ns: u64::from_json(s.req("decoded_ns")?)?,
-                            dispatched_ns: u64::from_json(s.req("dispatched_ns")?)?,
-                            replied_ns: u64::from_json(s.req("replied_ns")?)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()?;
                 Ok(Response::Metrics(cqfit_obs::Snapshot {
                     counters,
                     gauges,
                     histograms,
                     events,
-                    spans,
                 }))
             }
             "persisted" => Ok(Response::Persisted {
@@ -1457,24 +1413,6 @@ mod tests {
         registry.store_append_ns.record(1_800);
         registry.store_append_ns.record(150_000);
         registry.event(99, "wal.rollback", "w: rolled back");
-        registry.span(cqfit_obs::SpanRecord {
-            op: "add_example".into(),
-            workspace: Some("w".into()),
-            request_id: Some(77),
-            start_ns: 10,
-            decoded_ns: 11,
-            dispatched_ns: 15,
-            replied_ns: 16,
-        });
-        registry.span(cqfit_obs::SpanRecord {
-            op: "ping".into(),
-            workspace: None,
-            request_id: None,
-            start_ns: 20,
-            decoded_ns: 21,
-            dispatched_ns: 22,
-            replied_ns: 23,
-        });
         let resp = Response::Metrics(registry.snapshot());
         let text = serde::to_string(&resp);
         let back: Response = serde::from_str(&text).unwrap();

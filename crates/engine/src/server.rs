@@ -462,10 +462,6 @@ fn serve_connection(
                 },
             }
         }
-        // Phase timestamps are shared across the members of one batch
-        // (decode/dispatch/reply happen batch-at-a-time); three more
-        // clock reads per dispatched batch, none for error-only frames.
-        let trace_decoded_ns = (!batch.is_empty()).then(|| clock.monotonic().as_nanos() as u64);
         // Dispatch: a batch of one takes the plain sequential path (the
         // deterministic-scheduler path used by `run_sequential`); larger
         // batches fan out through the engine's grouped batch executor,
@@ -500,10 +496,9 @@ fn serve_connection(
             }
             _ => engine.handle_batch_traced(&batch),
         };
-        let trace_dispatched_ns = trace_decoded_ns.map(|_| {
+        if !batch.is_empty() {
             registry.server_pipeline_depth.set(0);
-            clock.monotonic().as_nanos() as u64
-        });
+        }
         // Every response of the batch goes out in one buffered write: a
         // single frame in request order.  One write per batch matters on
         // real TCP — a train of tiny per-response writes provokes the
@@ -523,27 +518,18 @@ fn serve_connection(
         } else {
             conn.write_all(&reply_frame)
         };
-        // Close out the batch's spans: one span per dispatched request
-        // (decode/dispatch/reply timestamps shared batch-wide), plus the
+        // Close out the batch's "server.request" spans, plus the
         // end-to-end latency sample each contributes to the histogram.
-        // This runs even when the reply write failed: the requests WERE
-        // dispatched (their engine/store child spans committed), so
-        // dropping the parent spans would orphan them in the trace.
-        if let (Some(decoded_ns), Some(dispatched_ns)) = (trace_decoded_ns, trace_dispatched_ns) {
+        // The reply timestamp is shared batch-wide.  This runs even when
+        // the reply write failed: the requests WERE dispatched (their
+        // engine/store child spans committed), so dropping the parent
+        // spans would orphan them in the trace.
+        if !batch.is_empty() {
             let replied_ns = clock.monotonic().as_nanos() as u64;
-            for ((request, request_id, _), span) in batch.iter().zip(request_spans) {
+            for span in request_spans {
                 registry
                     .server_request_ns
                     .record(replied_ns.saturating_sub(trace_begun_ns));
-                registry.span(cqfit_obs::SpanRecord {
-                    op: request.op().to_string(),
-                    workspace: request.workspace().map(str::to_string),
-                    request_id: *request_id,
-                    start_ns: trace_begun_ns,
-                    decoded_ns,
-                    dispatched_ns,
-                    replied_ns,
-                });
                 // Closing the causal span also journals it (flight
                 // recorder, if attached) and offers it to the slow table.
                 let finished = span.finish_at(tracer, replied_ns);
@@ -697,8 +683,9 @@ mod tests {
         ));
         handle.join().unwrap();
         // The batch left its marks on the registry: latency samples and
-        // spans for every dispatched request, depth samples per batch,
-        // and a live-connection gauge back at zero after the drain.
+        // `server.request` spans for every dispatched request, depth
+        // samples per batch, and a live-connection gauge back at zero
+        // after the drain.
         let snap = engine.registry().snapshot();
         assert_eq!(snap.gauge("server_connections"), 0, "connections drained");
         assert_eq!(snap.gauge("server_pipeline_depth"), 0);
@@ -709,16 +696,29 @@ mod tests {
             requests.len() as u64,
             "one latency sample per dispatched request"
         );
+        let traces = engine.registry().traces();
+        let request_spans: Vec<_> = traces
+            .iter()
+            .filter(|s| s.name == "server.request")
+            .collect();
+        assert_eq!(request_spans.len(), requests.len());
         assert!(
-            snap.spans
+            request_spans
                 .iter()
-                .any(|s| s.op == "add_example" && s.workspace.as_deref() == Some("p")),
-            "spans carry op and workspace"
+                .any(|s| s.annotation("op") == Some("add_example")
+                    && s.annotation("workspace") == Some("p")),
+            "server.request spans carry op and workspace"
         );
-        for span in &snap.spans {
-            assert!(span.start_ns <= span.decoded_ns);
-            assert!(span.decoded_ns <= span.dispatched_ns);
-            assert!(span.dispatched_ns <= span.replied_ns);
+        // Decode → dispatch → reply: each request's engine.handle child
+        // nests inside its server.request span.
+        for request in &request_spans {
+            let handle = traces
+                .iter()
+                .find(|s| s.name == "engine.handle" && s.parent_span_id == request.span_id)
+                .expect("every dispatched request has an engine.handle child");
+            assert!(request.start_ns <= handle.start_ns);
+            assert!(handle.start_ns <= handle.end_ns);
+            assert!(handle.end_ns <= request.end_ns);
         }
     }
 

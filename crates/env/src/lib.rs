@@ -202,9 +202,8 @@ impl FsFile for RealFile {
 
 /// The production environment: straight pass-through to `std::fs` and the
 /// OS clocks, no-op yield points.  The only cost over direct calls is one
-/// vtable dispatch per operation — invisible next to a syscall, and
-/// bounded by the `--pr6` benchmark at <2% on the WAL append/replay
-/// paths.
+/// vtable dispatch per operation — invisible next to a syscall (it
+/// measured <2% on the WAL append/replay paths in `BENCH_pr6.json`).
 #[derive(Debug, Default)]
 pub struct RealEnv {
     rng: AtomicU64,

@@ -15,7 +15,7 @@
 
 use crate::search::{find_homomorphism, hom_exists, Homomorphism};
 use cqfit_data::Example;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// A batch is worth threading only above this size: below it, thread spawn
@@ -28,6 +28,10 @@ const MIN_PARALLEL_BATCH: usize = 4;
 /// worker per two checks, so each spawned thread amortizes its spawn cost
 /// over at least two searches.
 fn worker_count(n: usize) -> usize {
+    #[cfg(test)]
+    if let Some(workers) = tests::FORCED_WORKERS.with(std::cell::Cell::get) {
+        return workers;
+    }
     if n < MIN_PARALLEL_BATCH {
         return 1;
     }
@@ -40,39 +44,52 @@ fn worker_count(n: usize) -> usize {
     machine.min(n / 2)
 }
 
-/// Runs `f(i)` for every `i < n` across scoped workers, merging the per-index
-/// results into a vector.  `skip(i)` allows workers to bypass indices whose
-/// result can no longer matter (they yield `None`).  Shared with the core
-/// engine (`crate::core`), which batches its retraction candidate checks
-/// through the same worker pool.
-pub(crate) fn run_batch<T, F, S>(n: usize, f: F, skip: S) -> Vec<Option<T>>
+/// Runs `f(i)` for the indices `0..n` across scoped workers, in index
+/// order up to the smallest `i` whose result satisfies `hit`, and returns
+/// exactly that prefix: `f(0..=i)` when some index hits, `f(0..n)`
+/// otherwise.  Workers skip only indices above an already-found hit, so
+/// every index up to the smallest hit runs whatever the thread timing,
+/// and the returned prefix is what the sequential loop that stops at the
+/// first hit would return.  Shared with the hom cache (`crate::cache`) and
+/// the core engine (`crate::core`).
+pub(crate) fn run_batch<T, F, H>(n: usize, f: F, hit: H) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
-    S: Fn(usize) -> bool + Sync,
+    H: Fn(&T) -> bool + Sync,
 {
     let workers = worker_count(n);
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     if workers <= 1 {
+        let mut out = Vec::with_capacity(n);
         for i in 0..n {
-            out.push(if skip(i) { None } else { Some(f(i)) });
+            let v = f(i);
+            let stop = hit(&v);
+            out.push(v);
+            if stop {
+                break;
+            }
         }
         return out;
     }
     let cursor = AtomicUsize::new(0);
+    let best = AtomicUsize::new(usize::MAX);
     let locals: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     loop {
+                        // The cursor only grows, so once it passes the
+                        // best hit every later index is past it too.
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+                        if i >= n || i > best.load(Ordering::Relaxed) {
                             break;
                         }
-                        if !skip(i) {
-                            local.push((i, f(i)));
+                        let v = f(i);
+                        if hit(&v) {
+                            best.fetch_min(i, Ordering::Relaxed);
                         }
+                        local.push((i, v));
                     }
                     local
                 })
@@ -83,11 +100,29 @@ where
             .map(|h| h.join().expect("homomorphism worker panicked"))
             .collect()
     });
-    out.resize_with(n, || None);
+    let len = n.min(best.into_inner().saturating_add(1));
+    let mut out: Vec<Option<T>> = Vec::with_capacity(len);
+    out.resize_with(len, || None);
     for (i, v) in locals.into_iter().flatten() {
-        out[i] = Some(v);
+        if i < len {
+            out[i] = Some(v);
+        }
     }
-    out
+    out.into_iter()
+        .map(|v| v.expect("every index up to the first hit runs"))
+        .collect()
+}
+
+/// The smallest `i < n` for which `f(i)` is `Some`, with its value, by
+/// [`run_batch`]'s early-exit rule.
+pub(crate) fn find_first<T, F>(n: usize, f: F) -> Option<(usize, T)>
+where
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
+{
+    let mut results = run_batch(n, f, Option::is_some);
+    let last = results.len().checked_sub(1)?;
+    results.pop().flatten().map(|v| (last, v))
 }
 
 /// Checks every `(src, dst)` pair for homomorphism existence, in parallel.
@@ -101,29 +136,20 @@ pub fn hom_exists_batch(pairs: &[(&Example, &Example)]) -> Vec<bool> {
         |i| hom_exists(pairs[i].0, pairs[i].1),
         |_| false,
     )
-    .into_iter()
-    .map(|r| r.expect("no index is skipped"))
-    .collect()
 }
 
 /// True if *some* pair admits a homomorphism, in parallel with early exit.
 ///
-/// Equivalent to `pairs.iter().any(|(s, d)| hom_exists(s, d))`; once one
-/// worker finds a homomorphism the remaining unstarted checks are skipped.
+/// Equivalent to `pairs.iter().any(|(s, d)| hom_exists(s, d))`; checks
+/// after the first pair admitting a homomorphism are skipped.
 pub fn any_hom_exists_batch(pairs: &[(&Example, &Example)]) -> bool {
-    let found = AtomicBool::new(false);
-    let results = run_batch(
+    run_batch(
         pairs.len(),
-        |i| {
-            let yes = hom_exists(pairs[i].0, pairs[i].1);
-            if yes {
-                found.store(true, Ordering::Relaxed);
-            }
-            yes
-        },
-        |_| found.load(Ordering::Relaxed),
-    );
-    results.into_iter().flatten().any(|b| b)
+        |i| hom_exists(pairs[i].0, pairs[i].1),
+        |&yes| yes,
+    )
+    .last()
+    .is_some_and(|&yes| yes)
 }
 
 /// Row-major matrix of boolean answers over a `rows × cols` cross product
@@ -184,33 +210,30 @@ pub fn hom_exists_cross(srcs: &[&Example], dsts: &[&Example]) -> CrossFlags {
 /// a witness, in parallel.
 ///
 /// Equivalent to the sequential
-/// `pairs.iter().enumerate().find_map(|(i, (s, d))| find_homomorphism(s, d).map(|h| (i, h)))`:
-/// the returned index is always the *smallest* one admitting a homomorphism
-/// (workers only skip indices strictly above an already-found hit, which can
-/// therefore never be the minimum).
+/// `pairs.iter().enumerate().find_map(|(i, (s, d))| find_homomorphism(s, d).map(|h| (i, h)))`.
 pub fn find_first_hom_batch(pairs: &[(&Example, &Example)]) -> Option<(usize, Homomorphism)> {
-    let best = AtomicUsize::new(usize::MAX);
-    let results = run_batch(
-        pairs.len(),
-        |i| {
-            let h = find_homomorphism(pairs[i].0, pairs[i].1);
-            if h.is_some() {
-                best.fetch_min(i, Ordering::Relaxed);
-            }
-            h
-        },
-        |i| i > best.load(Ordering::Relaxed),
-    );
-    results
-        .into_iter()
-        .enumerate()
-        .find_map(|(i, r)| r.flatten().map(|h| (i, h)))
+    find_first(pairs.len(), |i| find_homomorphism(pairs[i].0, pairs[i].1))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cqfit_data::{Instance, Schema};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Worker count forced on batches started from this thread.
+        pub(crate) static FORCED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every batch it starts on this thread using exactly
+    /// `workers` workers, whatever the batch size and machine.
+    pub(crate) fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        FORCED_WORKERS.with(|w| w.set(Some(workers)));
+        let out = f();
+        FORCED_WORKERS.with(|w| w.set(None));
+        out
+    }
 
     fn cycle(n: usize) -> Example {
         let mut i = Instance::new(Schema::digraph());
@@ -269,6 +292,21 @@ mod tests {
         let odd = [cycle(3), cycle(5)];
         let pairs: Vec<(&Example, &Example)> = odd.iter().map(|s| (s, &k2)).collect();
         assert!(find_first_hom_batch(&pairs).is_none());
+    }
+
+    #[test]
+    fn early_exit_returns_the_prefix_to_the_smallest_hit() {
+        for workers in [1, 2, 4] {
+            with_workers(workers, || {
+                for _ in 0..50 {
+                    let prefix = run_batch(64, |i| i, |&i| i % 16 == 13);
+                    assert_eq!(prefix, (0..=13).collect::<Vec<_>>(), "{workers} workers");
+                    let all = run_batch(64, |i| i, |_| false);
+                    assert_eq!(all, (0..64).collect::<Vec<_>>(), "{workers} workers");
+                    assert!(run_batch(0, |i| i, |_| true).is_empty());
+                }
+            });
+        }
     }
 
     #[test]

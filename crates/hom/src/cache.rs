@@ -38,7 +38,6 @@ use crate::search::hom_exists;
 use cqfit_data::{CanonicalHash, CanonicalHasher, Example};
 use cqfit_obs::Registry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of shards of the hom-existence map (power of two).
@@ -51,8 +50,8 @@ pub struct CacheStats {
     pub hom_hits: u64,
     /// Hom-existence searches actually executed.  Duplicate pairs within
     /// one batch share a single search (and a single count), and pairs
-    /// skipped by the early exit of [`HomCache::any_hom_exists`] are not
-    /// counted — no search ran for them.
+    /// after the first positive one in [`HomCache::any_hom_exists`] are
+    /// not counted — no search runs for them.
     pub hom_misses: u64,
     /// Core lookups answered from the cache.
     pub core_hits: u64,
@@ -225,17 +224,14 @@ impl HomCache {
             }
         }
         if !unique.is_empty() {
-            let answers: Vec<bool> = run_batch(
+            let answers = run_batch(
                 unique.len(),
                 |u| {
                     let (s, d) = pairs[unique[u]];
                     hom_exists(s, d)
                 },
                 |_| false,
-            )
-            .into_iter()
-            .map(|r| r.expect("no index is skipped"))
-            .collect();
+            );
             for (u, &answer) in answers.iter().enumerate() {
                 self.note_miss();
                 self.insert_hom(keys[unique[u]], answer);
@@ -250,8 +246,9 @@ impl HomCache {
     /// Cached variant of [`crate::any_hom_exists_batch`]: true if some pair
     /// admits a homomorphism.  Cached positive answers short-circuit before
     /// any search; the remaining distinct uncached keys run as a parallel
-    /// batch with early exit (skipped pairs run no search, are not cached,
-    /// and are not counted as misses).
+    /// batch with early exit.  Exactly the keys up to and including the
+    /// first positive one are searched, cached and counted as misses,
+    /// whatever the thread timing; the keys after it run no search.
     pub fn any_hom_exists(&self, pairs: &[(&Example, &Example)]) -> bool {
         let keys: Vec<(CanonicalHash, CanonicalHash)> = pairs
             .iter()
@@ -276,28 +273,19 @@ impl HomCache {
         if unique.is_empty() {
             return false;
         }
-        let found = AtomicBool::new(false);
-        let results = run_batch(
+        let answers = run_batch(
             unique.len(),
             |u| {
                 let (s, d) = pairs[unique[u]];
-                let yes = hom_exists(s, d);
-                if yes {
-                    found.store(true, Ordering::Relaxed);
-                }
-                yes
+                hom_exists(s, d)
             },
-            |_| found.load(Ordering::Relaxed),
+            |&yes| yes,
         );
-        let mut any = false;
-        for (u, r) in results.into_iter().enumerate() {
-            if let Some(answer) = r {
-                self.note_miss();
-                self.insert_hom(keys[unique[u]], answer);
-                any |= answer;
-            }
+        for (u, &answer) in answers.iter().enumerate() {
+            self.note_miss();
+            self.insert_hom(keys[unique[u]], answer);
         }
-        any
+        answers.last().is_some_and(|&yes| yes)
     }
 
     /// Cached [`crate::core_of`]: the core of a pointed instance.
@@ -436,6 +424,31 @@ mod tests {
         let odd_pairs: Vec<(&Example, &Example)> = vec![(&c3, &c2)];
         assert!(!cache.any_hom_exists(&odd_pairs));
         assert!(!cache.any_hom_exists(&[]));
+    }
+
+    #[test]
+    fn any_searches_caches_and_counts_exactly_the_prefix_to_the_first_hit() {
+        // Directed C_n maps to C_2 iff n is even: the first positive pair
+        // is at index k = 3, and every source is structurally distinct.
+        let srcs: Vec<Example> = [3, 5, 7, 4, 9, 6, 11, 8].into_iter().map(cycle).collect();
+        let c2 = cycle(2);
+        let pairs: Vec<(&Example, &Example)> = srcs.iter().map(|s| (s, &c2)).collect();
+        let k = 3;
+        for workers in [1, 4] {
+            crate::batch::tests::with_workers(workers, || {
+                for _ in 0..200 {
+                    let cache = HomCache::new();
+                    assert!(cache.any_hom_exists(&pairs));
+                    let stats = cache.stats();
+                    assert_eq!(stats.hom_misses, k as u64 + 1, "{workers} workers");
+                    assert_eq!(stats.hom_entries, k + 1, "{workers} workers");
+                    for (i, (s, d)) in pairs.iter().enumerate() {
+                        let key = (s.canonical_hash(), d.canonical_hash());
+                        assert_eq!(cache.peek_hom(&key).is_some(), i <= k, "pair {i}");
+                    }
+                }
+            });
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 pub mod reference;
 
-use crate::batch::run_batch;
+use crate::batch::find_first;
 use crate::search::{
     enumerate_homomorphisms_tweaked, find_homomorphism, find_homomorphism_tweaked, SearchTweaks,
     TweakedEnumeration,
@@ -51,7 +51,6 @@ use crate::search::{
 use crate::Homomorphism;
 use cqfit_data::{Example, Value};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of one endomorphism sweep over the alive sub-instance.
 enum Sweep {
@@ -113,41 +112,28 @@ fn endo_sweep(e: &Example, alive: &[bool], candidates: &[Value]) -> Sweep {
 /// Finds the smallest-index candidate in `candidates` that admits a
 /// retraction of the `alive`-masked sub-instance of `e` avoiding that
 /// candidate, together with the witness homomorphism.  The independent
-/// checks are fanned across scoped workers with an early-exit cursor (only
-/// indices above an already-found witness are skipped, so the returned index
-/// is always the smallest one).
+/// checks are fanned across scoped workers, which skip only candidates
+/// after an already-found witness, so the returned index is always the
+/// smallest one.
 fn first_retraction(
     e: &Example,
     alive: &[bool],
     candidates: &[Value],
 ) -> Option<(usize, Homomorphism)> {
-    let best = AtomicUsize::new(usize::MAX);
-    let results = run_batch(
-        candidates.len(),
-        |i| {
-            let mut dst_alive = alive.to_vec();
-            dst_alive[candidates[i].index()] = false;
-            let h = find_homomorphism_tweaked(
-                e,
-                e,
-                SearchTweaks {
-                    src_alive: Some(alive),
-                    dst_alive: Some(&dst_alive),
-                    branch_first: Some(candidates[i]),
-                    lazy_propagation: true,
-                },
-            );
-            if h.is_some() {
-                best.fetch_min(i, Ordering::Relaxed);
-            }
-            h
-        },
-        |i| i > best.load(Ordering::Relaxed),
-    );
-    results
-        .into_iter()
-        .enumerate()
-        .find_map(|(i, r)| r.flatten().map(|h| (i, h)))
+    find_first(candidates.len(), |i| {
+        let mut dst_alive = alive.to_vec();
+        dst_alive[candidates[i].index()] = false;
+        find_homomorphism_tweaked(
+            e,
+            e,
+            SearchTweaks {
+                src_alive: Some(alive),
+                dst_alive: Some(&dst_alive),
+                branch_first: Some(candidates[i]),
+                lazy_propagation: true,
+            },
+        )
+    })
 }
 
 /// Computes the core of a pointed instance.

@@ -1651,7 +1651,8 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
 
     // Fault-free baseline: zero retries, every request executed exactly
     // once, the connection gauge drained, one request-latency sample and
-    // one span per scripted request (the shutdown frame records neither).
+    // one `server.request` span per scripted request (the shutdown frame
+    // records neither).
     let baseline = phase_n_session(seed, &script, None, false)?;
     let context = "net baseline";
     let (retries, reconnects, sleeps) = baseline.client_counters;
@@ -1690,9 +1691,13 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     metric_check(
         seed,
         context,
-        "server spans",
-        snap.spans.len() as u64,
-        (script.len() as u64).min(128),
+        "server.request spans",
+        registry
+            .traces()
+            .iter()
+            .filter(|s| s.name == "server.request")
+            .count() as u64,
+        script.len() as u64,
     )?;
     stats.metric_net_checks += 1;
 
