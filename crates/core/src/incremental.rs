@@ -1,9 +1,9 @@
 //! Incremental fitting over an evolving collection of labeled examples.
 //!
 //! The batch entry points of [`crate::cq`] recompute the direct product
-//! `Π E⁺` from scratch on every call, but interactive workloads
-//! (query-by-example sessions, the `cqfit-engine` service) evolve `E⁺`/`E⁻`
-//! one example at a time and re-ask for fittings after each step.
+//! `Π E⁺` and its core from scratch on every call, but interactive
+//! workloads (query-by-example sessions, the `cqfit-engine` service) evolve
+//! `E⁺`/`E⁻` one example at a time and re-ask for fittings after each step.
 //! [`IncrementalFitting`] maintains that state *incrementally*:
 //!
 //! * **Adding a positive example extends the product** by one factor
@@ -17,13 +17,22 @@
 //!   insertion order) only when the next fitting question arrives.
 //!   Products have no useful "division"; eager rebuilding would waste the
 //!   work when several removals arrive back-to-back.
-//! * **Negative examples never touch the product** — adding or removing
-//!   one costs O(1).
+//! * **The core of the product is kept.**  The first minimized CQ fit after
+//!   a positive change computes the core (through the cache, if one is
+//!   given) and keeps it; every positive add or removal drops it again.
+//!   Until then, a minimized refit computes and hashes no core, and the CQ
+//!   existence and plain-fit questions run their negative checks from the
+//!   kept core: it is hom-equivalent to the product, so every verdict is
+//!   the same, and it is smaller.  The plain fit still returns the
+//!   canonical CQ of the full product.
+//! * **Negative examples never touch the product or the core** — adding or
+//!   removing one costs O(1), and the next question only runs the new
+//!   negative checks.
 //!
 //! Every fitting entry point takes an optional [`HomCache`]; with a cache,
-//! the per-negative hom checks and the core minimizations are served from
+//! the per-negative hom checks and the core computations are served from
 //! the canonical-hash keyed store on repeat (across workspaces and
-//! sessions), which is what makes warm re-fits cheap in the engine.
+//! sessions).
 //!
 //! The answers are certified against the batch path by
 //! `tests/engine_incremental.rs`: after any fixed-seed sequence of
@@ -54,6 +63,9 @@ pub struct IncrementalFitting {
     /// The maintained product `Π E⁺`; `None` after a positive removal
     /// (lazy invalidation) until the next question rebuilds it.
     product: Option<Example>,
+    /// The core of `product`, kept once a minimized fit has computed it;
+    /// `None` again whenever a positive change replaces the product.
+    core: Option<Arc<Example>>,
     /// Bumped on every successful mutation; lets callers (the engine's
     /// per-workspace memo) detect staleness cheaply.
     revision: u64,
@@ -71,6 +83,7 @@ impl IncrementalFitting {
             positives: BTreeMap::new(),
             negatives: BTreeMap::new(),
             product: Some(product),
+            core: None,
             revision: 0,
         }
     }
@@ -112,6 +125,7 @@ impl IncrementalFitting {
             positives: BTreeMap::new(),
             negatives: BTreeMap::new(),
             product: None,
+            core: None,
             revision,
         };
         let mut seen = std::collections::BTreeSet::new();
@@ -233,6 +247,7 @@ impl IncrementalFitting {
         if let Some(p) = self.product.take() {
             self.product = Some(direct_product(&p, &e)?);
         }
+        self.core = None;
         let id = self.next_id;
         self.next_id += 1;
         self.positives.insert(id, e);
@@ -260,6 +275,7 @@ impl IncrementalFitting {
     pub fn remove_positive(&mut self, id: ExampleId) -> bool {
         if self.positives.remove(&id).is_some() {
             self.product = None;
+            self.core = None;
             self.revision += 1;
             true
         } else {
@@ -311,6 +327,27 @@ impl IncrementalFitting {
         Ok(self.product.as_ref().expect("just ensured"))
     }
 
+    /// Rebuilds the product if needed and tells whether it is a data
+    /// example (if not, no CQ fits, whatever the negatives).
+    fn ensure_data_product(&mut self) -> Result<bool> {
+        self.ensure_product()?;
+        Ok(self.product.as_ref().is_some_and(Example::is_data_example))
+    }
+
+    /// Does `Π E⁺` map into some negative example?  Asked of the kept core
+    /// when there is one: it is hom-equivalent to the product, so the
+    /// answer is the same, and it is smaller and already hashed.
+    fn product_maps_into_some_negative(&self, cache: Option<&HomCache>) -> bool {
+        let source = match &self.core {
+            Some(core) => core,
+            None => self
+                .product
+                .as_ref()
+                .expect("product ensured by the caller"),
+        };
+        self.maps_into_some_negative(source, cache)
+    }
+
     /// Is there a homomorphism from `e` into some negative example?
     fn maps_into_some_negative(&self, e: &Example, cache: Option<&HomCache>) -> bool {
         let pairs: Vec<(&Example, &Example)> =
@@ -331,12 +368,10 @@ impl IncrementalFitting {
     /// Does some CQ fit the current collection?  (Incremental counterpart
     /// of [`crate::cq::fitting_exists`].)
     pub fn cq_fitting_exists(&mut self, cache: Option<&HomCache>) -> Result<bool> {
-        self.ensure_product()?;
-        let product = self.product.as_ref().expect("just ensured");
-        if !product.is_data_example() {
+        if !self.ensure_data_product()? {
             return Ok(false);
         }
-        Ok(!self.maps_into_some_negative(product, cache))
+        Ok(!self.product_maps_into_some_negative(cache))
     }
 
     /// Constructs a fitting CQ — the canonical CQ of the maintained
@@ -344,35 +379,35 @@ impl IncrementalFitting {
     /// [`crate::cq::construct_fitting`]; the result is a most-specific
     /// fitting.)
     pub fn cq_construct_fitting(&mut self, cache: Option<&HomCache>) -> Result<Option<Cq>> {
-        self.ensure_product()?;
+        if !self.ensure_data_product()? || self.product_maps_into_some_negative(cache) {
+            return Ok(None);
+        }
         let product = self.product.as_ref().expect("just ensured");
-        if !product.is_data_example() {
-            return Ok(None);
-        }
-        if self.maps_into_some_negative(product, cache) {
-            return Ok(None);
-        }
         Ok(Some(Cq::from_example(product)?))
     }
 
     /// [`IncrementalFitting::cq_construct_fitting`] with the output
-    /// minimized: the canonical CQ of the *core* of the maintained product
-    /// (served from the cache on repeat).  Incremental counterpart of
+    /// minimized: the canonical CQ of the *core* of the maintained product.
+    /// The core is computed (or served from the cache) once per product
+    /// and then kept, so a refit after a negative-only change computes and
+    /// hashes nothing.  Incremental counterpart of
     /// [`crate::cq::construct_fitting_minimized`].
     pub fn cq_construct_fitting_minimized(
         &mut self,
         cache: Option<&HomCache>,
     ) -> Result<Option<Cq>> {
-        self.ensure_product()?;
-        let product = self.product.as_ref().expect("just ensured");
-        if !product.is_data_example() {
+        if !self.ensure_data_product()? {
             return Ok(None);
         }
-        let core = Self::core_via(cache, product);
-        if self.maps_into_some_negative(&core, cache) {
+        if self.core.is_none() {
+            let product = self.product.as_ref().expect("just ensured");
+            self.core = Some(Self::core_via(cache, product));
+        }
+        if self.product_maps_into_some_negative(cache) {
             return Ok(None);
         }
-        Ok(Some(Cq::from_example(&core)?))
+        let core = self.core.as_ref().expect("just kept");
+        Ok(Some(Cq::from_example(core)?))
     }
 
     /// Does some fitting UCQ exist?  (Incremental counterpart of
@@ -490,7 +525,8 @@ mod tests {
             .unwrap();
         assert!(inc_min.equivalent_to(&batch_min).unwrap());
         assert_eq!(inc_min.num_variables(), 15);
-        // Warm re-ask hits the cache.
+        // Warm re-ask makes no core-cache traffic: the workspace kept the
+        // core.
         let before = cache.stats();
         let again = inc
             .cq_construct_fitting_minimized(Some(&cache))
@@ -498,7 +534,54 @@ mod tests {
             .unwrap();
         assert!(again.equivalent_to(&inc_min).unwrap());
         let after = cache.stats();
-        assert!(after.core_hits > before.core_hits);
+        assert_eq!(after.core_hits, before.core_hits);
+        assert_eq!(after.core_misses, before.core_misses);
+    }
+
+    #[test]
+    fn refit_after_a_negative_reuses_the_kept_core() {
+        let cache = HomCache::new();
+        let mut inc = IncrementalFitting::new(Schema::digraph(), 0);
+        inc.add_positive(ex("R(a,b)\nR(b,c)\nR(c,d)\nR(d,a)"))
+            .unwrap();
+        inc.add_positive(ex("R(a,b)\nR(b,c)\nR(c,d)\nR(d,e)\nR(e,f)\nR(f,a)"))
+            .unwrap();
+        let first = inc
+            .cq_construct_fitting_minimized(Some(&cache))
+            .unwrap()
+            .unwrap();
+        assert_eq!(first.num_variables(), 12, "C4 x C6 cores to C12");
+        let misses = cache.stats().core_misses;
+        // A negative the core does not map into: the fit stands.
+        inc.add_negative(ex("R(a,b)\nR(b,c)\nR(c,d)\nR(d,e)\nR(e,a)"))
+            .unwrap();
+        assert!(inc.cq_fitting_exists(Some(&cache)).unwrap());
+        let refit = inc
+            .cq_construct_fitting_minimized(Some(&cache))
+            .unwrap()
+            .unwrap();
+        assert!(refit.equivalent_to(&first).unwrap());
+        assert_eq!(cache.stats().core_misses, misses);
+        assert_eq!(
+            cache.stats().core_hits,
+            0,
+            "the core is kept, not looked up"
+        );
+        // A negative the core maps into (C2, as 12 is even): no fit, and
+        // still no new core.
+        inc.add_negative(ex("R(a,b)\nR(b,a)")).unwrap();
+        assert!(!inc.cq_fitting_exists(Some(&cache)).unwrap());
+        assert!(inc.cq_construct_fitting(Some(&cache)).unwrap().is_none());
+        assert!(inc
+            .cq_construct_fitting_minimized(Some(&cache))
+            .unwrap()
+            .is_none());
+        assert_eq!(cache.stats().core_misses, misses);
+        assert_eq!(cache.stats().core_hits, 0);
+        // A positive change drops the kept core: the next fit cores anew.
+        inc.add_positive(ex("R(a,b)\nR(b,c)\nR(c,a)")).unwrap();
+        inc.cq_construct_fitting_minimized(Some(&cache)).unwrap();
+        assert_eq!(cache.stats().core_misses, misses + 1);
     }
 
     #[test]

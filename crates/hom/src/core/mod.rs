@@ -9,7 +9,7 @@
 //!
 //! Core computation reduces to *retraction checks*: does the example map
 //! homomorphically into itself with one value deactivated?  The engine here
-//! differs from the preserved greedy oracle ([`self::reference`]) in four
+//! differs from the preserved greedy oracle ([`self::reference`]) in five
 //! ways:
 //!
 //! * **Deactivation mask instead of induced clones** — one `Vec<bool>` over
@@ -30,6 +30,10 @@
 //! * **Orbit folding** — a witness retraction `h` avoiding `v` misses not
 //!   just `v` but every value outside its image; all of them are deactivated
 //!   at once, instead of one value per pass.
+//! * **Orbit pruning** — the endomorphism sweep that certifies a core skips
+//!   root images in the orbit of an explored one under the automorphisms it
+//!   has met, so certifying a directed cycle `C_n` costs two propagation
+//!   chains instead of `n` (see `endo_sweep`).
 //! * **Batched candidate checks** — the independent per-candidate searches of
 //!   one round fan across the same scoped worker pool as
 //!   [`crate::hom_exists_batch`], with an early-exit cursor; the first (i.e.
@@ -50,6 +54,7 @@ use crate::search::{
 };
 use crate::Homomorphism;
 use cqfit_data::{Example, Value};
+use std::cell::RefCell;
 use std::collections::HashSet;
 
 /// Outcome of one endomorphism sweep over the alive sub-instance.
@@ -65,6 +70,65 @@ enum Sweep {
     Capped,
 }
 
+/// The orbits of the automorphisms one sweep has met, kept as a union-find
+/// over the original domain in which the smaller root wins (so every root
+/// is the smallest index of its orbit), plus which orbits already hold an
+/// explored root image.
+struct Orbits {
+    parent: Vec<u32>,
+    explored: Vec<bool>,
+}
+
+impl Orbits {
+    fn new(n: usize) -> Self {
+        Orbits {
+            parent: (0..n as u32).collect(),
+            explored: vec![false; n],
+        }
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] as usize != x {
+            let grand = self.parent[self.parent[x] as usize];
+            self.parent[x] = grand;
+            x = grand as usize;
+        }
+        x
+    }
+
+    /// Unions every value with its image under the automorphism `sigma`.
+    fn absorb(&mut self, sigma: &Homomorphism) {
+        for (x, y) in sigma.pairs() {
+            let (a, b) = (self.find(x.index()), self.find(y.index()));
+            if a != b {
+                let (lo, hi) = (a.min(b), a.max(b));
+                self.parent[hi] = lo as u32;
+                self.explored[lo] |= self.explored[hi];
+            }
+        }
+    }
+
+    /// Should the sweep skip root image `t`?  Yes if its orbit already
+    /// holds an explored root image; otherwise `t` is explored next.
+    fn skip_root_image(&mut self, t: Value) -> bool {
+        let r = self.find(t.index());
+        if self.explored[r] {
+            return true;
+        }
+        self.explored[r] = true;
+        false
+    }
+
+    /// The smallest index of each orbit among `candidates`.
+    fn representatives(&mut self, candidates: &[Value]) -> Vec<Value> {
+        candidates
+            .iter()
+            .copied()
+            .filter(|c| self.find(c.index()) == c.index())
+            .collect()
+    }
+}
+
 /// One capped endomorphism sweep: enumerates endomorphisms of the
 /// `alive`-masked sub-instance of `e`, stopping at the first whose image
 /// misses a retraction candidate.
@@ -75,20 +139,27 @@ enum Sweep {
 /// *one* per-candidate retraction check on the paper's cycle-product
 /// families.  The caps (solution count and search nodes) bound the sweep on
 /// automorphism-rich instances, where the per-candidate path is no worse.
-fn endo_sweep(e: &Example, alive: &[bool], candidates: &[Value]) -> Sweep {
+///
+/// Orbit pruning: every surjective endomorphism met on the way is an
+/// automorphism σ, and goes into `orbits`.  A root image in the orbit of an
+/// already explored root image `t′` is skipped: any endomorphism `h` with
+/// `h(v₀) = σ(t′)` is `σ ∘ h′` for `h′ = σ⁻¹ ∘ h`, which maps `v₀` to `t′`
+/// and is surjective exactly when `h` is.  So the sweep stops at the same
+/// witness as an unpruned one, and certifies a directed cycle after two
+/// root images instead of one per value.
+fn endo_sweep(e: &Example, alive: &[bool], candidates: &[Value], orbits: &mut Orbits) -> Sweep {
     let n = e.instance().num_values();
     let limit = 16 + 4 * candidates.len();
     let max_nodes = 64 + 32 * n as u64;
     let mut image = vec![false; n];
-    let non_surjective = |h: &Homomorphism, image: &mut Vec<bool>| {
-        for slot in image.iter_mut() {
-            *slot = false;
-        }
+    let mut non_surjective = |h: &Homomorphism| {
+        image.fill(false);
         for (_, t) in h.pairs() {
             image[t.index()] = true;
         }
         candidates.iter().any(|c| !image[c.index()])
     };
+    let orbits = RefCell::new(orbits);
     let outcome = enumerate_homomorphisms_tweaked(
         e,
         e,
@@ -100,7 +171,14 @@ fn endo_sweep(e: &Example, alive: &[bool], candidates: &[Value]) -> Sweep {
         },
         limit,
         max_nodes,
-        |h| non_surjective(h, &mut image),
+        |h| {
+            if non_surjective(h) {
+                return true;
+            }
+            orbits.borrow_mut().absorb(h);
+            false
+        },
+        |t| orbits.borrow_mut().skip_root_image(t),
     );
     match outcome {
         TweakedEnumeration::Found(h) => Sweep::NonSurjective(h),
@@ -115,6 +193,10 @@ fn endo_sweep(e: &Example, alive: &[bool], candidates: &[Value]) -> Sweep {
 /// checks are fanned across scoped workers, which skip only candidates
 /// after an already-found witness, so the returned index is always the
 /// smallest one.
+///
+/// Callers pass only orbit representatives of a capped sweep: a retraction
+/// avoiding `c` exists iff one avoiding `σ(c)` does (compose with `σ`), so
+/// the smallest candidate that admits one is its orbit's smallest index.
 fn first_retraction(
     e: &Example,
     alive: &[bool],
@@ -134,6 +216,23 @@ fn first_retraction(
             },
         )
     })
+}
+
+/// An endomorphism of the `alive`-masked sub-instance of `e` whose image
+/// misses one of `candidates`, or `None` if that sub-instance is a core.
+/// Primary strategy: one capped endomorphism sweep, which either certifies
+/// the core, yields a foldable witness, or punts; on a punt, batched
+/// retraction checks, one per orbit of the automorphisms the sweep met.
+fn non_core_witness(e: &Example, alive: &[bool], candidates: &[Value]) -> Option<Homomorphism> {
+    let mut orbits = Orbits::new(e.instance().num_values());
+    match endo_sweep(e, alive, candidates, &mut orbits) {
+        Sweep::NonSurjective(h) => Some(h),
+        Sweep::AllSurjective => None,
+        Sweep::Capped => {
+            let reps = orbits.representatives(candidates);
+            first_retraction(e, alive, &reps).map(|(_, h)| h)
+        }
+    }
 }
 
 /// Computes the core of a pointed instance.
@@ -168,15 +267,7 @@ pub fn core_of(e: &Example) -> Example {
         if candidates.is_empty() {
             break;
         }
-        // Primary strategy: one capped endomorphism sweep, which either
-        // certifies the core, yields a foldable witness, or punts.
-        let witness = match endo_sweep(e, &alive, &candidates) {
-            Sweep::NonSurjective(h) => Some(h),
-            Sweep::AllSurjective => None,
-            // Fallback: batched per-candidate retraction checks.
-            Sweep::Capped => first_retraction(e, &alive, &candidates).map(|(_, h)| h),
-        };
-        let Some(witness) = witness else {
+        let Some(witness) = non_core_witness(e, &alive, &candidates) else {
             break;
         };
         // Orbit folding: the witness maps the alive sub-instance into itself
@@ -218,11 +309,7 @@ pub fn is_core(e: &Example) -> bool {
         .values()
         .filter(|&v| inst.is_active(v) && !is_distinguished.contains(&v))
         .collect();
-    match endo_sweep(e, &alive, &candidates) {
-        Sweep::NonSurjective(_) => false,
-        Sweep::AllSurjective => true,
-        Sweep::Capped => first_retraction(e, &alive, &candidates).is_none(),
-    }
+    non_core_witness(e, &alive, &candidates).is_none()
 }
 
 /// True if the two examples are homomorphically equivalent (homomorphisms in
@@ -373,6 +460,35 @@ mod tests {
         );
         assert_eq!(core.size(), unpadded_core.size());
         assert!(hom_equivalent(&core, &unpadded_core));
+    }
+
+    /// Orbit pruning: the rotations of a directed cycle form one orbit, so
+    /// the sweep certifies C_105 after the identity and one rotation rather
+    /// than after all 105 root images (each root image of a directed cycle
+    /// fixes one endomorphism, a rotation).  Each explored root image sets
+    /// one `explored` flag that was clear (its orbit root's), and flags are
+    /// never cleared, so the set flags bound the explored root images.
+    #[test]
+    fn sweep_certifies_a_long_cycle_after_two_root_images() {
+        let labels: Vec<String> = (0..105).map(|k| k.to_string()).collect();
+        let facts: Vec<(&str, &str)> = (0..105)
+            .map(|k| (labels[k].as_str(), labels[(k + 1) % 105].as_str()))
+            .collect();
+        let c105 = boolean(&facts);
+        let alive = vec![true; 105];
+        let candidates: Vec<Value> = c105.instance().values().collect();
+        let mut orbits = Orbits::new(105);
+        assert!(matches!(
+            endo_sweep(&c105, &alive, &candidates, &mut orbits),
+            Sweep::AllSurjective
+        ));
+        let explored = orbits.explored.iter().filter(|&&b| b).count();
+        assert!((1..=2).contains(&explored), "{explored} root images");
+        // One orbit, already explored: every further root image is skipped.
+        assert!(candidates.iter().all(|&t| orbits.skip_root_image(t)));
+        assert_eq!(orbits.representatives(&candidates), vec![Value(0)]);
+        assert!(is_core(&c105));
+        assert_eq!(core_of(&c105).instance().num_values(), 105);
     }
 
     /// Orbit folding: the witness image shrinks a long foldable structure in

@@ -242,6 +242,14 @@ pub(crate) fn find_homomorphism_tweaked(
     out.pop()
 }
 
+/// The endomorphism sweep's two hooks into [`Problem::solve_until`].
+struct SweepHooks<'h> {
+    /// Ends the enumeration when it accepts a freshly found homomorphism.
+    stop_when: &'h mut dyn FnMut(&Homomorphism) -> bool,
+    /// Prunes a root-branch image for which it answers `true`.
+    skip_root: &'h mut dyn FnMut(Value) -> bool,
+}
+
 /// Outcome of a capped, predicate-stopped enumeration
 /// ([`enumerate_homomorphisms_tweaked`]).
 pub(crate) enum TweakedEnumeration {
@@ -257,6 +265,11 @@ pub(crate) enum TweakedEnumeration {
 /// Enumerates homomorphisms under [`SearchTweaks`] until `stop_when` accepts
 /// one, the space is exhausted, or a cap (`limit` solutions / `max_nodes`
 /// search nodes) is hit — the core engine's endomorphism sweep.
+///
+/// `skip_root` is asked once per image of the root branch's variable, just
+/// before that subtree would be explored; a `true` prunes the subtree.  The
+/// caller vouches that a pruned subtree holds no homomorphism `stop_when`
+/// would accept (the sweep prunes images in the orbit of an explored one).
 pub(crate) fn enumerate_homomorphisms_tweaked(
     src: &Example,
     dst: &Example,
@@ -264,6 +277,7 @@ pub(crate) fn enumerate_homomorphisms_tweaked(
     limit: usize,
     max_nodes: u64,
     mut stop_when: impl FnMut(&Homomorphism) -> bool,
+    mut skip_root: impl FnMut(Value) -> bool,
 ) -> TweakedEnumeration {
     let Some(problem) = Problem::new_masked(src, dst, tweaks) else {
         return TweakedEnumeration::Exhausted;
@@ -282,10 +296,22 @@ pub(crate) fn enumerate_homomorphisms_tweaked(
     let mut out = Vec::new();
     let mut stats = HomSearchStats::default();
     let mut fired = false;
-    let result = problem.solve_until(&mut state, &config, &mut stats, limit, &mut out, &mut |h| {
+    let mut stop = |h: &Homomorphism| {
         fired = stop_when(h);
         fired
-    });
+    };
+    let hooks = SweepHooks {
+        stop_when: &mut stop,
+        skip_root: &mut skip_root,
+    };
+    let result = problem.solve_until(
+        &mut state,
+        &config,
+        &mut stats,
+        limit,
+        &mut out,
+        Some(hooks),
+    );
     if fired {
         return TweakedEnumeration::Found(out.pop().expect("predicate fired on a found hom"));
     }
@@ -1203,13 +1229,13 @@ impl<'a> Problem<'a> {
         limit: usize,
         out: &mut Vec<Homomorphism>,
     ) -> Result<()> {
-        self.solve_until(state, config, stats, limit, out, &mut |_| false)
+        self.solve_until(state, config, stats, limit, out, None)
     }
 
-    /// [`Problem::solve`] with an early-stop predicate: enumeration ends as
-    /// soon as `stop_when` accepts a freshly found homomorphism (used by the
-    /// core engine's endomorphism sweep to stop at the first non-surjective
-    /// endomorphism).  The plain `solve` passes a constant-`false` predicate.
+    /// [`Problem::solve`] with the core engine's endomorphism-sweep hooks:
+    /// enumeration ends as soon as `stop_when` accepts a freshly found
+    /// homomorphism, and a root-branch image for which `skip_root` answers
+    /// `true` is never tried.  The plain `solve` passes no hooks.
     fn solve_until(
         &self,
         state: &mut SearchState,
@@ -1217,21 +1243,22 @@ impl<'a> Problem<'a> {
         stats: &mut HomSearchStats,
         limit: usize,
         out: &mut Vec<Homomorphism>,
-        stop_when: &mut dyn FnMut(&Homomorphism) -> bool,
+        mut hooks: Option<SweepHooks<'_>>,
     ) -> Result<()> {
         let mut frames: Vec<Frame> = Vec::new();
         let mut seen = out.len();
-        let mut check_new = |out: &Vec<Homomorphism>, seen: &mut usize| -> bool {
-            if out.len() > *seen {
-                *seen = out.len();
-                stop_when(out.last().expect("just pushed"))
-            } else {
-                false
+        let mut check_new = |out: &Vec<Homomorphism>, hooks: &mut Option<SweepHooks<'_>>| -> bool {
+            match hooks {
+                Some(hooks) if out.len() > seen => {
+                    seen = out.len();
+                    (hooks.stop_when)(out.last().expect("just pushed"))
+                }
+                _ => false,
             }
         };
         match self.enter_node(state, &mut frames, 0, config, stats, out)? {
             NodeKind::Leaf => {
-                check_new(out, &mut seen);
+                check_new(out, &mut hooks);
                 return Ok(());
             }
             NodeKind::Branch => {}
@@ -1251,6 +1278,13 @@ impl<'a> Problem<'a> {
             }
             let t = frame.choices[frame.next] as usize;
             frame.next += 1;
+            if depth == 1
+                && hooks
+                    .as_mut()
+                    .is_some_and(|h| (h.skip_root)(Value(t as u32)))
+            {
+                continue;
+            }
             let var = frame.var;
             state.cands.assign(var, t);
             let ok = if config.use_arc_consistency {
@@ -1261,7 +1295,7 @@ impl<'a> Problem<'a> {
             if ok {
                 match self.enter_node(state, &mut frames, depth, config, stats, out)? {
                     NodeKind::Leaf => {
-                        if check_new(out, &mut seen) {
+                        if check_new(out, &mut hooks) {
                             return Ok(());
                         }
                     }
@@ -1463,5 +1497,35 @@ mod tests {
                 assert_eq!(new_stats.found, ref_stats.found);
             }
         }
+    }
+
+    #[test]
+    fn skip_root_prunes_whole_root_subtrees() {
+        // The endomorphisms of a directed C_5 are its 5 rotations, one per
+        // image of the root variable; each skipped root image removes one.
+        let c5 = cycle(5);
+        let count = |skip: &dyn Fn(Value) -> bool| {
+            let (mut found, mut asked) = (0, 0);
+            let outcome = enumerate_homomorphisms_tweaked(
+                &c5,
+                &c5,
+                SearchTweaks::default(),
+                100,
+                1000,
+                |_| {
+                    found += 1;
+                    false
+                },
+                |t| {
+                    asked += 1;
+                    skip(t)
+                },
+            );
+            assert!(matches!(outcome, TweakedEnumeration::Exhausted));
+            (found, asked)
+        };
+        assert_eq!(count(&|_| false), (5, 5));
+        assert_eq!(count(&|t| t != Value(0)), (1, 5));
+        assert_eq!(count(&|_| true), (0, 5));
     }
 }

@@ -19,8 +19,8 @@
 
 use cqfit_data::{Example, Schema};
 use cqfit_gen::{
-    bitstring_family, directed_cycle, prime_cycles_family, random_example, symmetric_clique,
-    RandomConfig,
+    bitstring_family, directed_cycle, exact_colorability, prime_cycles_family, random_example,
+    symmetric_clique, RandomConfig,
 };
 use cqfit_hom::core::reference;
 use cqfit_hom::{core_of, hom_equivalent, is_core, product_of};
@@ -206,6 +206,87 @@ fn differential_family_instances_agree_with_reference_engine() {
         "padding and pendant path must fold away, leaving C15"
     );
     assert!(total >= 9);
+}
+
+/// A directed cycle of `len` edges with a pendant path of `tail` edges at
+/// its first value, leaving the cycle (`outward`) or entering it.
+fn tailed_cycle(len: usize, tail: usize, outward: bool) -> Example {
+    let digraph = Schema::digraph();
+    let (mut inst, _) = directed_cycle(&digraph, len).into_parts();
+    let rel = inst.schema().rel("R").unwrap();
+    let mut prev = cqfit_data::Value(0);
+    for k in 0..tail {
+        let next = inst.add_value(format!("t{k}"));
+        let args = if outward { [prev, next] } else { [next, prev] };
+        inst.add_fact(rel, &args).unwrap();
+        prev = next;
+    }
+    Example::boolean(inst)
+}
+
+/// Instances rich in automorphisms, where the sweep prunes root images by
+/// orbit: cycle products (disjoint copies of `C_lcm`), prime-cycle
+/// products, cliques, a pointed cycle, and products of cycles with pendant
+/// tails (the shape of the QBE benchmark's sessions).
+#[test]
+fn differential_orbit_pruned_instances_agree_with_reference_engine() {
+    let digraph = Schema::digraph();
+    let cycle_product = |lens: &[usize]| {
+        let cycles: Vec<Example> = lens.iter().map(|&n| directed_cycle(&digraph, n)).collect();
+        product_of(&digraph, 0, &cycles).unwrap()
+    };
+    for (a, b, lcm) in [(4usize, 6usize, 12usize), (6, 9, 18), (5, 10, 10)] {
+        let product = cycle_product(&[a, b]);
+        check_example(&product, &format!("C{a} x C{b}"));
+        assert_eq!(core_of(&product).instance().num_values(), lcm);
+    }
+    for n in 3..=4 {
+        let fam = prime_cycles_family(n);
+        let schema = fam.schema().unwrap().clone();
+        let product = product_of(&schema, 0, fam.positives()).unwrap();
+        check_example(&product, &format!("prime cycle product n={n}"));
+        assert!(
+            is_core(&product),
+            "a product of coprime cycles is one cycle"
+        );
+    }
+    for k in 2..=4 {
+        let fam = exact_colorability(k);
+        for (i, clique) in fam.positives().iter().chain(fam.negatives()).enumerate() {
+            check_example(clique, &format!("exact colorability k={k}, clique {i}"));
+            assert!(is_core(clique));
+        }
+    }
+    // A pointed cycle: the distinguished value leaves only the identity.
+    let (inst, _) = directed_cycle(&digraph, 6).into_parts();
+    let pointed = Example::new(inst, vec![cqfit_data::Value(0)]);
+    check_example(&pointed, "pointed C6");
+    assert!(is_core(&pointed));
+    // A pointed cycle product: the core is the pointed copy of C12.
+    let (inst, _) = cycle_product(&[4, 6]).into_parts();
+    let pointed = Example::new(inst, vec![cqfit_data::Value(0)]);
+    check_example(&pointed, "pointed C4 x C6");
+    assert_eq!(core_of(&pointed).instance().num_values(), 12);
+    // Cycles with pendant tails, alone and in products: every tail folds
+    // onto a cycle, so the core is the cycle of the least common multiple.
+    for (len, tail, outward) in [(3usize, 2usize, true), (5, 1, false), (4, 2, false)] {
+        let e = tailed_cycle(len, tail, outward);
+        check_example(&e, &format!("C{len} with tail {tail}"));
+        assert_eq!(core_of(&e).instance().num_values(), len);
+    }
+    for (factors, lcm) in [
+        (vec![(3usize, 2usize, true), (4, 1, false)], 12usize),
+        (vec![(4, 2, true), (6, 1, true)], 12),
+        (vec![(3, 1, false), (5, 2, true)], 15),
+    ] {
+        let tailed: Vec<Example> = factors
+            .iter()
+            .map(|&(len, tail, outward)| tailed_cycle(len, tail, outward))
+            .collect();
+        let product = product_of(&digraph, 0, &tailed).unwrap();
+        check_example(&product, &format!("tailed product {factors:?}"));
+        assert_eq!(core_of(&product).instance().num_values(), lcm);
+    }
 }
 
 /// The combined suite must perform at least 300 new-vs-reference checks;
