@@ -70,9 +70,10 @@ pub struct Client {
     /// The client-side metrics registry: retry/reconnect/backoff
     /// counters, plus the trace-span ring the tracer feeds.
     registry: Arc<Registry>,
-    /// Client-side causal tracer (PR 10): every logical call roots a
-    /// trace, every attempt is a sibling span under it, and the attempt's
-    /// context rides the wire so the server's spans join the same tree.
+    /// Client-side causal tracer (PR 10): every burst roots a
+    /// `client.pipeline` trace with one `client.request` child per
+    /// request, whose context rides the wire so the server's spans join
+    /// the same tree, and one `client.attempt` child per try.
     tracer: Tracer,
     /// Whether a connection was ever established — distinguishes the
     /// initial connect from the *re*connects the registry counts.
@@ -108,8 +109,8 @@ impl Client {
     }
 
     /// The client-side tracer — its span ring (via [`Client::registry`])
-    /// holds the `client.request` / `client.attempt` spans of recent
-    /// calls.
+    /// holds the `client.pipeline` / `client.request` / `client.attempt`
+    /// spans of recent calls.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -262,21 +263,6 @@ impl Client {
         }
     }
 
-    /// One write-then-read exchange on the current connection, under the
-    /// per-request deadline.  No retries.
-    fn exchange(&mut self, line: &str) -> io::Result<String> {
-        let deadline = self.timeout.map(|t| self.env.clock().monotonic() + t);
-        self.ensure_connected()?;
-        let conn = self.conn.as_mut().expect("just connected");
-        // One buffered write per request: a single syscall on the real
-        // path, and a single frame (one write mark) under the simulator.
-        let mut frame = Vec::with_capacity(line.len() + 1);
-        frame.extend_from_slice(line.as_bytes());
-        frame.push(b'\n');
-        conn.write_all(&frame)?;
-        self.read_line(deadline)
-    }
-
     /// Whether a failed exchange is worth a reconnect-and-retry: the
     /// transport broke or stalled.  `InvalidData` (a reply that arrived
     /// but does not parse) is *not* — retrying cannot fix it.
@@ -301,81 +287,28 @@ impl Client {
     /// # Errors
     /// Propagates I/O failures; EOF is `UnexpectedEof`.
     pub fn call_raw(&mut self, line: &str) -> io::Result<String> {
-        let result = self.exchange(line);
+        let result = self
+            .exchange_batch(&format!("{line}\n"), 1)
+            .map(|mut replies| replies.remove(0));
         if result.is_err() {
             self.disconnect();
         }
         result
     }
 
-    /// Sends a request and reads the response, retrying over fresh
-    /// connections on transport failure per the [`RetryPolicy`].  Every
-    /// attempt of one call resends the same `request_id`, so a mutation
-    /// whose first ack was lost is answered from the engine's
-    /// idempotency memo rather than applied twice.
+    /// Sends a request and reads the response: a one-request
+    /// [`Client::call_pipelined`] burst, retried over fresh connections
+    /// on transport failure per the [`RetryPolicy`].  Every attempt
+    /// resends the same `request_id`, so a mutation whose first ack was
+    /// lost is answered from the engine's idempotency memo rather than
+    /// applied twice.
     ///
     /// # Errors
     /// The last transport failure once retries are exhausted; an
     /// unparsable response line becomes `InvalidData` immediately.
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        // The wire integer type is i64: keep ids in 63 bits.
-        let id = self.env.rng_u64() >> 1;
-        let mut root = self
-            .tracer
-            .start(self.tracer.root_context(), "client.request");
-        root.annotate("op", request.op());
-        if let Some(ws) = request.workspace() {
-            root.annotate("workspace", ws);
-        }
-        root.annotate("request_id", id.to_string());
-        let root_ctx = root.context();
-        let attempts = self.retry.attempts.max(1);
-        let mut last = None;
-        let mut prev_attempt: Option<TraceContext> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.registry.client_retries.inc();
-                let delay = self.backoff_delay(attempt - 1);
-                self.registry.client_backoff_sleeps.inc();
-                self.env.clock().sleep(delay);
-            }
-            // Each attempt is a sibling span under the logical request,
-            // and a retry names its predecessor — a wire-cut retry is a
-            // visible sibling in the same trace, not a fresh anonymous
-            // one.  The attempt's context rides the wire (the line is
-            // re-serialized per attempt with the *same* request id).
-            let mut span = self
-                .tracer
-                .start(self.tracer.child_context(&root_ctx), "client.attempt");
-            span.annotate("retry", attempt.to_string());
-            if let Some(prev) = prev_attempt {
-                span.annotate("retry_of", prev.span_id_hex());
-            }
-            let attempt_ctx = span.context();
-            prev_attempt = Some(attempt_ctx);
-            let line = request
-                .to_json_with_meta(id, Some(&attempt_ctx))
-                .to_string();
-            match self.exchange(&line) {
-                Ok(reply) => {
-                    span.finish(&self.tracer);
-                    root.finish(&self.tracer);
-                    return Client::parse_response(&reply);
-                }
-                Err(e) => {
-                    span.annotate("error", e.kind().to_string());
-                    span.finish(&self.tracer);
-                    self.disconnect();
-                    if !Client::retryable(&e) {
-                        root.finish(&self.tracer);
-                        return Err(e);
-                    }
-                    last = Some(e);
-                }
-            }
-        }
-        root.finish(&self.tracer);
-        Err(last.expect("at least one attempt"))
+        self.call_pipelined(std::slice::from_ref(request))
+            .map(|mut replies| replies.remove(0))
     }
 
     /// Sends a batch of requests as one pipelined burst — every frame

@@ -34,6 +34,29 @@ impl Default for EngineConfig {
     }
 }
 
+/// One request of a window as the engine receives it (see
+/// [`Engine::handle_window`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Envelope<'a> {
+    /// The request.
+    pub request: &'a Request,
+    /// The protocol-level idempotency key (the wire `request_id`).
+    pub id: Option<u64>,
+    /// The caller's span context; `None` runs the request untraced.
+    pub trace: Option<TraceContext>,
+}
+
+impl<'a> Envelope<'a> {
+    /// An untraced envelope.
+    pub fn new(request: &'a Request, id: Option<u64>) -> Self {
+        Envelope {
+            request,
+            id,
+            trace: None,
+        }
+    }
+}
+
 /// A long-lived fitting service holding named workspaces.
 ///
 /// All methods take `&self` — the engine is interior-mutability-safe and
@@ -74,7 +97,7 @@ pub struct Engine {
     /// recorder to the whole stack's spans.
     tracer: Arc<Tracer>,
     /// Exactly-once retry memo: the last applied `(request_id, response)`
-    /// per workspace (see [`Engine::handle_with_id`]).
+    /// per workspace (see [`Engine::handle_window`]).
     memo: Mutex<IdempotencyMemo>,
     store: Option<Arc<Store>>,
     recovery: RecoveryReport,
@@ -105,7 +128,7 @@ impl WorkspaceSlot {
     }
 }
 
-/// The exactly-once retry memo behind [`Engine::handle_with_id`]: for
+/// The exactly-once retry memo behind [`Engine::handle_window`]: for
 /// each workspace, the ids of the most recently applied identified
 /// mutations and the responses they produced.  A client that retries a
 /// mutation after an ambiguous connection drop (request possibly
@@ -438,59 +461,100 @@ impl Engine {
         self.handle_with_id(request, None)
     }
 
-    /// Handles one request carrying an optional protocol-level
-    /// idempotency key (the wire `request_id`).
-    ///
-    /// For identified *mutations* (see [`Request::is_mutation`]) on a
-    /// named workspace, the engine consults its idempotency memo: if
-    /// the workspace's last applied identified mutation had the same id,
-    /// the memoed response is returned and the mutation does **not** run
-    /// again — this is what makes the client's reconnect-and-retry after
-    /// an ambiguous drop exactly-once.  Successful identified mutations
-    /// update the memo.
-    ///
-    /// The check-then-record pair is not atomic with respect to the
-    /// mutation itself, so two *concurrent* connections replaying the
-    /// same `(workspace, request_id)` could both apply it; the resilient
-    /// client never does that (one in-flight request per client), and
-    /// the deterministic sim drives the server sequentially.  Requests
-    /// without an id (or non-mutations) behave exactly as [`handle`].
-    ///
-    /// [`handle`]: Engine::handle
+    /// Handles one request carrying an optional idempotency id, as a
+    /// window of one (see [`Engine::handle_window`]).
     pub fn handle_with_id(&self, request: &Request, request_id: Option<u64>) -> Response {
-        self.handle_traced(request, request_id, None)
+        self.handle_window(&[Envelope::new(request, request_id)])
+            .remove(0)
     }
 
-    /// [`handle_with_id`] under an optional trace context.  With
-    /// `parent: Some(..)` the engine opens an `engine.handle` span as a
-    /// child of it (annotated with op, workspace, and request id; memo
-    /// replays are marked `memo_replay=true`) and threads the span's
-    /// context into the store append, so one request's spans chain from
-    /// client attempt through server dispatch down to the fsync leader.
-    /// With `parent: None` the request runs completely untraced —
-    /// byte-for-byte the pre-PR10 hot path, no clock reads drawn.
+    /// Handles untraced requests with their idempotency ids as one window
+    /// (see [`Engine::handle_window`]).
+    pub fn handle_batch_with_ids(&self, requests: &[(Request, Option<u64>)]) -> Vec<Response> {
+        self.handle_window(
+            &requests
+                .iter()
+                .map(|(r, id)| Envelope::new(r, *id))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Handles one window of requests — what the server dispatches per
+    /// pipelined connection read — and returns the responses in window
+    /// order.
     ///
-    /// [`handle_with_id`]: Engine::handle_with_id
-    pub fn handle_traced(
-        &self,
-        request: &Request,
-        request_id: Option<u64>,
-        parent: Option<&TraceContext>,
-    ) -> Response {
-        let mut span = parent.map(|ctx| {
+    /// The window is grouped by target workspace in first-appearance
+    /// order.  Within a group the window order is kept, so ids and
+    /// revisions come out as in the sequential loop; distinct groups run
+    /// on the hom crate's scoped pool ([`cqfit_hom::run_pool`]) with at
+    /// most one worker per group and per CPU, so a window with one group,
+    /// or a process pinned to one CPU, never leaves the calling thread.
+    /// Workspace-less requests (`ping`, `stats`, `list_workspaces`, ...)
+    /// are answered on the calling thread after every group finishes.
+    ///
+    /// **Idempotency.**  For an identified mutation (see
+    /// [`Request::is_mutation`]) on a named workspace, the engine consults
+    /// its idempotency memo: if the workspace recently applied the same
+    /// id, the memoed response is returned and the mutation does **not**
+    /// run again — this is what makes the client's reconnect-and-retry
+    /// after an ambiguous drop exactly-once.  Successful identified
+    /// mutations update the memo.  The check-then-record pair is not
+    /// atomic with respect to the mutation itself, so the same
+    /// `(workspace, request_id)` arriving on two connections at once
+    /// could apply twice; within one window the pair is safe, because a
+    /// workspace's requests run in order on one thread.
+    ///
+    /// **Tracing.**  An envelope with a trace context gets an
+    /// `engine.handle` child span (annotated with op, workspace and
+    /// request id; memo replays are marked `memo_replay=true`), whose
+    /// context is threaded into the store append.  Without one the
+    /// request runs untraced and draws no clock reads for spans.
+    pub fn handle_window(&self, window: &[Envelope<'_>]) -> Vec<Response> {
+        let (groups, global) = group_by_workspace(window.iter().map(|e| e.request.workspace()));
+        let answered = cqfit_hom::run_pool(
+            cqfit_hom::parallelism().min(groups.len()),
+            groups.len(),
+            |g| {
+                groups[g]
+                    .1
+                    .iter()
+                    .map(|&i| self.handle_one(&window[i]))
+                    .collect::<Vec<_>>()
+            },
+            |_| false,
+        );
+        let mut out: Vec<Option<Response>> = Vec::new();
+        out.resize_with(window.len(), || None);
+        for ((_, indices), responses) in groups.iter().zip(answered) {
+            for (&i, response) in indices.iter().zip(responses) {
+                out[i] = Some(response);
+            }
+        }
+        for i in global {
+            out[i] = Some(self.handle_one(&window[i]));
+        }
+        out.into_iter()
+            .map(|r| r.expect("every request answered"))
+            .collect()
+    }
+
+    /// One request of a window: memo lookup, span, dispatch, memo record.
+    fn handle_one(&self, envelope: &Envelope<'_>) -> Response {
+        let Envelope { request, id, trace } = *envelope;
+        let mut span = trace.map(|ctx| {
             let mut span = self
                 .tracer
-                .start(self.tracer.child_context(ctx), "engine.handle");
+                .start(self.tracer.child_context(&ctx), "engine.handle");
             span.annotate("op", request.op());
             if let Some(ws) = request.workspace() {
                 span.annotate("workspace", ws);
             }
-            if let Some(id) = request_id {
+            if let Some(id) = id {
                 span.annotate("request_id", id.to_string());
             }
             span
         });
-        let memo_key = match (request_id, request.workspace()) {
+        let memo_key = match (id, request.workspace()) {
             (Some(id), Some(ws)) if request.is_mutation() => Some((id, ws.to_string())),
             _ => None,
         };
@@ -506,7 +570,7 @@ impl Engine {
             }
         }
         let trace = span.as_mut().map(|s| s.context());
-        let response = self.handle_inner(request, request_id, trace.as_ref());
+        let response = self.handle_inner(request, id, trace.as_ref());
         if let Some((id, ws)) = &memo_key {
             if response.is_ok() {
                 self.memo
@@ -880,108 +944,31 @@ impl Engine {
             }
         }
     }
+}
 
-    /// Handles a batch of requests, fanning independent workspaces across
-    /// scoped worker threads.
-    ///
-    /// Semantics: requests are grouped by target workspace; within one
-    /// workspace the batch order is preserved (so ids and revisions come
-    /// out as in the sequential loop), distinct workspaces run
-    /// concurrently, and workspace-less requests (`ping`, `stats`,
-    /// `list_workspaces`, `shutdown`) are answered on the calling thread
-    /// *after* all groups finish.  Responses are returned in request
-    /// order.
-    pub fn handle_batch(&self, requests: &[Request]) -> Vec<Response> {
-        self.batch_impl(requests.len(), |i| (&requests[i], None, None))
-    }
-
-    /// [`handle_batch`] with a per-request idempotency id, as carried by a
-    /// pipelined connection: each request is routed through
-    /// [`handle_with_id`], so identified mutations inside a pipelined
-    /// window get the same exactly-once retry semantics as sequential
-    /// ones.
-    ///
-    /// [`handle_batch`]: Engine::handle_batch
-    /// [`handle_with_id`]: Engine::handle_with_id
-    pub fn handle_batch_with_ids(&self, requests: &[(Request, Option<u64>)]) -> Vec<Response> {
-        self.batch_impl(requests.len(), |i| (&requests[i].0, requests[i].1, None))
-    }
-
-    /// [`handle_batch_with_ids`] with a per-request trace context: each
-    /// member is routed through [`handle_traced`], so a pipelined window
-    /// produces one `engine.handle` child span per member under its own
-    /// server request span.
-    ///
-    /// [`handle_batch_with_ids`]: Engine::handle_batch_with_ids
-    /// [`handle_traced`]: Engine::handle_traced
-    pub fn handle_batch_traced(
-        &self,
-        requests: &[(Request, Option<u64>, Option<TraceContext>)],
-    ) -> Vec<Response> {
-        self.batch_impl(requests.len(), |i| {
-            (&requests[i].0, requests[i].1, requests[i].2.as_ref())
-        })
-    }
-
-    fn batch_impl<'a>(
-        &self,
-        len: usize,
-        get: impl Fn(usize) -> (&'a Request, Option<u64>, Option<&'a TraceContext>) + Sync,
-    ) -> Vec<Response> {
-        let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        let mut global = Vec::new();
-        for i in 0..len {
-            match get(i).0.workspace() {
-                Some(ws) => groups.entry(ws).or_default().push(i),
-                None => global.push(i),
+/// Indices of a window's requests grouped by target workspace, groups in
+/// first-appearance order, plus the indices of the workspace-less
+/// requests.  The order is fixed by the window alone, so which group's
+/// fit fills the shared [`HomCache`] first does not vary between runs.
+fn group_by_workspace<'a>(
+    workspaces: impl IntoIterator<Item = Option<&'a str>>,
+) -> (Vec<(&'a str, Vec<usize>)>, Vec<usize>) {
+    let mut groups: Vec<(&str, Vec<usize>)> = Vec::new();
+    let mut group_of: HashMap<&str, usize> = HashMap::new();
+    let mut global = Vec::new();
+    for (i, workspace) in workspaces.into_iter().enumerate() {
+        match workspace {
+            Some(ws) => {
+                let g = *group_of.entry(ws).or_insert_with(|| {
+                    groups.push((ws, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[g].1.push(i);
             }
+            None => global.push(i),
         }
-        let mut out: Vec<Option<Response>> = Vec::new();
-        out.resize_with(len, || None);
-        let group_list: Vec<Vec<usize>> = groups.into_values().collect();
-        // Bounded worker pool over the groups (a batch may touch thousands
-        // of workspaces; one OS thread per workspace would oversubscribe):
-        // each worker claims whole groups via an atomic cursor, so
-        // per-workspace order is still preserved.
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(group_list.len())
-            .max(1);
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let results: Vec<Vec<(usize, Response)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(indices) = group_list.get(g) else {
-                                break;
-                            };
-                            local.extend(indices.iter().map(|&i| {
-                                let (req, id, ctx) = get(i);
-                                (i, self.handle_traced(req, id, ctx))
-                            }));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine batch worker panicked"))
-                .collect()
-        });
-        for (i, resp) in results.into_iter().flatten() {
-            out[i] = Some(resp);
-        }
-        for i in global {
-            let (req, id, ctx) = get(i);
-            out[i] = Some(self.handle_traced(req, id, ctx));
-        }
-        out.into_iter().map(|r| r.expect("all filled")).collect()
     }
+    (groups, global)
 }
 
 #[cfg(test)]
@@ -1489,7 +1476,8 @@ mod tests {
             });
         }
         let seq_out: Vec<Response> = requests.iter().map(|r| seq.handle(r)).collect();
-        let par_out = par.handle_batch(&requests);
+        let window: Vec<Envelope> = requests.iter().map(|r| Envelope::new(r, None)).collect();
+        let par_out = par.handle_window(&window);
         assert_eq!(seq_out.len(), par_out.len());
         for (s, p) in seq_out.iter().zip(&par_out) {
             assert_eq!(
@@ -1516,7 +1504,12 @@ mod tests {
             polarity: Polarity::Positive,
             example: ExamplePayload::Text("R(a,b)".into()),
         };
-        let resp = engine.handle_traced(&add, Some(7), Some(&parent));
+        let traced = |trace: TraceContext| Envelope {
+            request: &add,
+            id: Some(7),
+            trace: Some(trace),
+        };
+        let resp = engine.handle_window(&[traced(parent)]).remove(0);
         assert!(resp.is_ok(), "{resp:?}");
         let spans = engine.registry().traces();
         let find = |name: &str| {
@@ -1553,7 +1546,9 @@ mod tests {
         );
         // Retrying the same id replays from the memo — and the replay's
         // span says so instead of pretending the mutation ran twice.
-        let replay = engine.handle_traced(&add, Some(7), Some(&engine.tracer().root_context()));
+        let replay = engine
+            .handle_window(&[traced(engine.tracer().root_context())])
+            .remove(0);
         assert_eq!(serde::to_string(&replay), serde::to_string(&resp));
         let spans = engine.registry().traces();
         let memo = spans
@@ -1568,5 +1563,92 @@ mod tests {
         }
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Groups come out in first-appearance order whatever the workspace
+    /// names hash to, so a window runs its groups in the same order on
+    /// every run.
+    #[test]
+    fn window_groups_follow_first_appearance() {
+        let (groups, global) =
+            group_by_workspace([Some("c"), Some("a"), Some("c"), Some("b"), None, Some("a")]);
+        assert_eq!(
+            groups,
+            vec![("c", vec![0, 2]), ("a", vec![1, 5]), ("b", vec![3])]
+        );
+        assert_eq!(global, vec![4]);
+    }
+
+    /// A real environment that records the thread of every yield point.
+    #[derive(Debug)]
+    struct ThreadRecordingEnv {
+        inner: Arc<dyn Env>,
+        yields: Mutex<Vec<(String, std::thread::ThreadId)>>,
+    }
+
+    impl Env for ThreadRecordingEnv {
+        fn fs(&self) -> &dyn cqfit_env::Fs {
+            self.inner.fs()
+        }
+
+        fn clock(&self) -> &dyn cqfit_env::Clock {
+            self.inner.clock()
+        }
+
+        fn net(&self) -> &dyn cqfit_env::Net {
+            self.inner.net()
+        }
+
+        fn yield_point(&self, label: &str) {
+            self.yields
+                .lock()
+                .unwrap()
+                .push((label.to_string(), std::thread::current().id()));
+        }
+
+        fn rng_u64(&self) -> u64 {
+            self.inner.rng_u64()
+        }
+    }
+
+    /// A window on one workspace runs every request on the calling
+    /// thread: no pool worker is spawned for a single group.
+    #[test]
+    fn one_workspace_window_stays_on_the_calling_thread() {
+        let env = Arc::new(ThreadRecordingEnv {
+            inner: RealEnv::arc(),
+            yields: Mutex::new(Vec::new()),
+        });
+        let engine = Engine::with_env(EngineConfig::default(), Arc::clone(&env) as Arc<dyn Env>);
+        let mut requests = vec![Request::CreateWorkspace {
+            workspace: "w".into(),
+            schema: Schema::new([("R", 2)]).unwrap(),
+            arity: 0,
+        }];
+        for i in 0..7 {
+            requests.push(Request::AddExample {
+                workspace: "w".into(),
+                polarity: Polarity::Positive,
+                example: ExamplePayload::Text(format!("R(a{i},b{i})")),
+            });
+        }
+        let window: Vec<Envelope> = requests
+            .iter()
+            .zip(1..)
+            .map(|(r, id)| Envelope::new(r, Some(id)))
+            .collect();
+        let responses = engine.handle_window(&window);
+        assert!(responses.iter().all(Response::is_ok), "{responses:?}");
+        let me = std::thread::current().id();
+        let yields = env.yields.lock().unwrap();
+        let handled: Vec<_> = yields
+            .iter()
+            .filter(|(label, _)| label == "engine.handle")
+            .collect();
+        assert_eq!(handled.len(), 8);
+        assert!(
+            handled.iter().all(|(_, thread)| *thread == me),
+            "a one-group window left the calling thread"
+        );
     }
 }

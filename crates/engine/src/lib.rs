@@ -13,8 +13,8 @@
 //! Two front ends share the same [`Request`]/[`Response`] protocol:
 //!
 //! * the in-process [`Engine`] (interior-mutability-safe; share it via
-//!   `Arc` across request threads, or push whole batches through
-//!   [`Engine::handle_batch`]),
+//!   `Arc` across request threads, or push whole windows through
+//!   [`Engine::handle_window`]),
 //! * the std-only JSONL-over-TCP [`Server`] behind the `cqfit-serve`
 //!   binary, with [`Client`] and the scripted `cqfit-session` binary as
 //!   consumers.
@@ -43,7 +43,7 @@
 //! with jitter, reconnect-and-retry; see [`RetryPolicy`]), and retried
 //! mutations apply **exactly once**: each call carries a `request_id`,
 //! and the engine answers an already-applied id from its idempotency memo
-//! ([`Engine::handle_with_id`]) instead of re-running the mutation.
+//! ([`Engine::handle_window`]) instead of re-running the mutation.
 //!
 //! See `DESIGN.md` ("Engine architecture", "Durability", "Environment &
 //! Simulation") for the workspace model, the incremental product
@@ -62,7 +62,7 @@ mod server;
 mod workspace;
 
 pub use client::{Client, RetryPolicy, DEFAULT_CALL_TIMEOUT};
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Engine, EngineConfig, Envelope};
 pub use protocol::{
     EngineStats, ExamplePayload, FitMode, FitQuery, Polarity, QueryClass, Request, Response,
 };

@@ -293,7 +293,7 @@ impl Request {
     }
 
     /// The workspace this request targets, if any (used by
-    /// [`crate::Engine::handle_batch`] to group independent requests).
+    /// [`crate::Engine::handle_window`] to group independent requests).
     pub fn workspace(&self) -> Option<&str> {
         match self {
             Request::CreateWorkspace { workspace, .. }

@@ -5,7 +5,7 @@
 //! Wire protocol: one JSON request per line in, one JSON response per line
 //! out (see [`crate::protocol`]).  Requests may carry an optional
 //! `request_id`; identified mutations are routed through the engine's
-//! idempotency memo ([`Engine::handle_with_id`]) so client retries after
+//! idempotency memo ([`Engine::handle_window`]) so client retries after
 //! an ambiguous connection drop apply exactly once.  Connections are
 //! pipelined: up to [`PIPELINE_WINDOW`] already-buffered request lines
 //! are dispatched as one in-flight batch (responses written in request
@@ -32,7 +32,7 @@
 //! (see `cqfit_data::canonical`), so do not expose the port to untrusted
 //! networks.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Envelope};
 use crate::protocol::{Request, Response};
 use cqfit_env::{Clock, Env, NetConn, NetListener};
 use cqfit_obs::TraceContext;
@@ -133,7 +133,7 @@ impl Server {
             let addr = addr.clone();
             handles.push(std::thread::spawn(move || {
                 let peer = conn.peer_addr();
-                if let Err(e) = serve_connection(&engine, &shutdown, &addr, conn, PIPELINE_WINDOW) {
+                if let Err(e) = serve_connection(&engine, &shutdown, &addr, conn) {
                     if !is_disconnect(&e) {
                         eprintln!("cqfit-serve: connection {peer}: {e}");
                     }
@@ -147,9 +147,10 @@ impl Server {
     }
 
     /// Serves connections strictly one at a time on the calling thread —
-    /// no spawned threads, so a deterministic scheduler controls every
-    /// interleaving.  The simulation harness runs the server this way;
-    /// semantics otherwise match [`Server::run`].
+    /// no connection threads, so a deterministic scheduler controls every
+    /// interleaving.  Each connection is served exactly as under
+    /// [`Server::run`], with the same pipeline window.  The simulation
+    /// harness runs the server this way.
     ///
     /// # Errors
     /// Propagates accept-loop I/O failures (per-connection I/O errors only
@@ -166,10 +167,7 @@ impl Server {
                 Err(e) => return Err(e),
             };
             let peer = conn.peer_addr();
-            // Window of 1: every request is decoded, handled, and answered
-            // before the next is looked at, so the deterministic scheduler
-            // sees the same single-step interleaving as before pipelining.
-            if let Err(e) = serve_connection(&self.engine, &self.shutdown, &addr, conn, 1) {
+            if let Err(e) = serve_connection(&self.engine, &self.shutdown, &addr, conn) {
                 if !is_disconnect(&e) {
                     eprintln!("cqfit-serve: connection {peer}: {e}");
                 }
@@ -310,20 +308,18 @@ fn is_disconnect(e: &io::Error) -> bool {
 
 /// Handles one connection; returns on EOF, I/O error, or shutdown.
 ///
-/// `window` bounds how many already-buffered request lines may be
-/// in flight at once (see [`PIPELINE_WINDOW`]).  Dispatch never waits
-/// for the window to fill: whatever complete lines the read buffer
-/// holds — up to the window — form one batch, so an unpipelined client
-/// keeps strict request-by-request semantics.  Responses are written in
-/// request order after the batch completes.
+/// At most [`PIPELINE_WINDOW`] already-buffered request lines are in
+/// flight at once.  Dispatch never waits for the window to fill:
+/// whatever complete lines the read buffer holds — up to the window —
+/// form one batch, so an unpipelined client keeps strict
+/// request-by-request semantics.  Responses are written in request
+/// order after the batch completes.
 fn serve_connection(
     engine: &Engine,
     shutdown: &AtomicBool,
     server_addr: &str,
     mut conn: Box<dyn NetConn>,
-    window: usize,
 ) -> io::Result<()> {
-    let window = window.max(1);
     // Accumulated raw bytes not yet consumed as request lines.  Reads are
     // capped per iteration so a client streaming a newline-less request
     // cannot grow the buffer beyond `MAX_LINE_BYTES` + one chunk.
@@ -375,12 +371,12 @@ fn serve_connection(
         }
         // At least one framed request is available: a terminated line,
         // the final pre-EOF bytes, or an over-long unterminated stream.
-        // Take up to `window` of them for one pipelined dispatch.  Each
+        // Take up to a window of them for one pipelined dispatch.  Each
         // entry is (payload without the `\n` terminator, terminated?);
         // an unterminated tail is only consumed when no more bytes can
         // arrive for it (EOF) or it already exceeds the line cap.
         let mut lines: Vec<(Vec<u8>, bool)> = Vec::new();
-        while lines.len() < window {
+        while lines.len() < PIPELINE_WINDOW {
             match buf.iter().position(|&b| b == b'\n') {
                 Some(pos) => {
                     let mut line: Vec<u8> = buf.drain(..=pos).collect();
@@ -408,7 +404,7 @@ fn serve_connection(
             Pending(usize),
         }
         let mut slots: Vec<Slot> = Vec::new();
-        let mut batch: Vec<(Request, Option<u64>, Option<TraceContext>)> = Vec::new();
+        let mut batch: Vec<(Request, Option<u64>, TraceContext)> = Vec::new();
         let mut shutdown_req: Option<(Request, Option<u64>)> = None;
         let mut framing_lost = false;
         for (payload, terminated) in &lines {
@@ -457,26 +453,26 @@ fn serve_connection(
                             None => tracer.root_context(),
                         };
                         slots.push(Slot::Pending(batch.len()));
-                        batch.push((request, request_id, Some(ctx)));
+                        batch.push((request, request_id, ctx));
                     }
                 },
             }
         }
-        // Dispatch: a batch of one takes the plain sequential path (the
-        // deterministic-scheduler path used by `run_sequential`); larger
-        // batches fan out through the engine's grouped batch executor,
-        // whose concurrent durable appends the store group-commits.
+        // Dispatch: the whole batch is one engine window, which groups it
+        // by workspace (a single group runs on this thread) and whose
+        // concurrent durable appends the store group-commits.
         // One causal "server.request" span per dispatched request, opened
         // at the frame-read anchor and parented on the wire context (or
         // rooted here).  The engine receives the span's own context, so
         // its handle/append/fsync spans hang off this one.
         let mut request_spans = Vec::with_capacity(batch.len());
+        let mut responses = Vec::new();
         if !batch.is_empty() {
             registry.server_batch_depth.record(batch.len() as u64);
             registry.server_pipeline_depth.set(batch.len() as i64);
+            let mut window = Vec::with_capacity(batch.len());
             for (request, request_id, ctx) in &batch {
-                let ctx = ctx.expect("server assigns every batch member a context");
-                let mut span = tracer.start_at(ctx, "server.request", trace_begun_ns);
+                let mut span = tracer.start_at(*ctx, "server.request", trace_begun_ns);
                 span.annotate("op", request.op());
                 if let Some(ws) = request.workspace() {
                     span.annotate("workspace", ws);
@@ -486,17 +482,13 @@ fn serve_connection(
                 }
                 span.annotate("batch_depth", batch.len().to_string());
                 request_spans.push(span);
+                window.push(Envelope {
+                    request,
+                    id: *request_id,
+                    trace: Some(*ctx),
+                });
             }
-        }
-        let responses = match batch.len() {
-            0 => Vec::new(),
-            1 => {
-                let (request, request_id, ctx) = &batch[0];
-                vec![engine.handle_traced(request, *request_id, ctx.as_ref())]
-            }
-            _ => engine.handle_batch_traced(&batch),
-        };
-        if !batch.is_empty() {
+            responses = engine.handle_window(&window);
             registry.server_pipeline_depth.set(0);
         }
         // Every response of the batch goes out in one buffered write: a

@@ -12,6 +12,8 @@
 //! atomic work-stealing cursor); results are written per worker and merged,
 //! so no locks are held while searching.  All entry points are deterministic:
 //! they return exactly what the equivalent sequential loop would return.
+//! The pool itself ([`run_pool`]) is public: the fitting engine runs the
+//! workspace groups of a pipelined request window on it.
 
 use crate::search::{find_homomorphism, hom_exists, Homomorphism};
 use cqfit_data::Example;
@@ -23,10 +25,22 @@ use std::sync::OnceLock;
 /// short batches run the plain sequential loop.
 const MIN_PARALLEL_BATCH: usize = 4;
 
+/// The machine parallelism, queried once per process.  A process pinned
+/// to one CPU before the first query sees 1, so every pool it sizes by
+/// this runs on the calling thread.
+pub fn parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Number of workers for a batch of `n` independent checks: at most the
-/// machine parallelism (queried once per process), and never more than one
-/// worker per two checks, so each spawned thread amortizes its spawn cost
-/// over at least two searches.
+/// machine parallelism, and never more than one worker per two checks,
+/// so each spawned thread amortizes its spawn cost over at least two
+/// searches.
 fn worker_count(n: usize) -> usize {
     #[cfg(test)]
     if let Some(workers) = tests::FORCED_WORKERS.with(std::cell::Cell::get) {
@@ -35,30 +49,34 @@ fn worker_count(n: usize) -> usize {
     if n < MIN_PARALLEL_BATCH {
         return 1;
     }
-    static PARALLELISM: OnceLock<usize> = OnceLock::new();
-    let machine = *PARALLELISM.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
-    machine.min(n / 2)
+    parallelism().min(n / 2)
 }
 
-/// Runs `f(i)` for the indices `0..n` across scoped workers, in index
-/// order up to the smallest `i` whose result satisfies `hit`, and returns
-/// exactly that prefix: `f(0..=i)` when some index hits, `f(0..n)`
-/// otherwise.  Workers skip only indices above an already-found hit, so
-/// every index up to the smallest hit runs whatever the thread timing,
-/// and the returned prefix is what the sequential loop that stops at the
-/// first hit would return.  Shared with the hom cache (`crate::cache`) and
-/// the core engine (`crate::core`).
+/// [`run_pool`] with the batch's own worker count.  Shared with the hom
+/// cache (`crate::cache`) and the core engine (`crate::core`).
 pub(crate) fn run_batch<T, F, H>(n: usize, f: F, hit: H) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
     H: Fn(&T) -> bool + Sync,
 {
-    let workers = worker_count(n);
+    run_pool(worker_count(n), n, f, hit)
+}
+
+/// Runs `f(i)` for the indices `0..n` across `workers` scoped workers, in
+/// index order up to the smallest `i` whose result satisfies `hit`, and
+/// returns exactly that prefix: `f(0..=i)` when some index hits, `f(0..n)`
+/// otherwise.  Workers skip only indices above an already-found hit, so
+/// every index up to the smallest hit runs whatever the thread timing,
+/// and the returned prefix is what the sequential loop that stops at the
+/// first hit would return.  With `workers <= 1` the loop runs on the
+/// calling thread and spawns nothing.
+pub fn run_pool<T, F, H>(workers: usize, n: usize, f: F, hit: H) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    H: Fn(&T) -> bool + Sync,
+{
     if workers <= 1 {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
@@ -97,7 +115,7 @@ where
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("homomorphism worker panicked"))
+            .map(|h| h.join().expect("pool worker panicked"))
             .collect()
     });
     let len = n.min(best.into_inner().saturating_add(1));

@@ -85,11 +85,13 @@ fn main() -> ExitCode {
     );
     println!(
         "pipelined coverage: {} group-committed batches cut {} times; \
-         {} burst sessions over {} wire cuts (whole-batch replay each)",
+         {} burst sessions over {} wire cuts (whole-batch replay each); \
+         {} server windows deeper than one request",
         stats.group_batches,
         stats.group_boundary_cuts + stats.group_mid_cuts,
         stats.net_pipelined_executions,
-        stats.net_pipelined_cuts
+        stats.net_pipelined_cuts,
+        stats.deep_windows
     );
     println!(
         "metric invariants: {} store runs and {} wire sessions cross-checked \

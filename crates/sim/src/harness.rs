@@ -39,11 +39,12 @@
 //!   truncated exactly to the boundary, and the folded state matches
 //!   the surviving records.
 //! * **Phase N — network fault injection.**  A scripted session speaks
-//!   the real wire protocol (`Server::run_sequential` + resilient
-//!   [`Client`]) over a seeded [`SimNet`] under the deterministic
-//!   scheduler.  A fault-free baseline must equal the in-process oracle
-//!   byte-for-byte and records every frame boundary; the wire is then
-//!   cut once per execution — before the first byte, at every frame
+//!   the real wire protocol (`Server::run_sequential` at the production
+//!   32-request window, plus a resilient [`Client`]) over a seeded
+//!   [`SimNet`] under the deterministic scheduler.  A fault-free
+//!   baseline must equal the in-process oracle byte-for-byte and
+//!   records every frame boundary; the wire is then cut once per
+//!   execution — before the first byte, at every frame
 //!   boundary, and inside every frame — and the client's transcript must
 //!   *still* equal the never-dropped oracle's: acknowledged mutations
 //!   survive the reconnect, retried mutations apply exactly once
@@ -175,6 +176,10 @@ pub struct ExploreStats {
     /// Wire cuts swept over the pipelined conversation (boundary and
     /// mid-frame combined — the burst makes frames coarse).
     pub net_pipelined_cuts: u64,
+    /// Server windows deeper than one request dispatched across every
+    /// wire session of phases N, M and T (from the engines'
+    /// `server_batch_depth` histograms).
+    pub deep_windows: u64,
     /// Phase-M store-side runs whose metric registry was cross-checked
     /// against the oracle (exact append accounting, cache-counter
     /// equality, compaction-event consistency).
@@ -216,6 +221,7 @@ impl ExploreStats {
         self.net_mid_frame_cuts += other.net_mid_frame_cuts;
         self.net_pipelined_executions += other.net_pipelined_executions;
         self.net_pipelined_cuts += other.net_pipelined_cuts;
+        self.deep_windows += other.deep_windows;
         self.metric_store_checks += other.metric_store_checks;
         self.metric_net_checks += other.metric_net_checks;
         self.metric_retries_accounted += other.metric_retries_accounted;
@@ -1210,8 +1216,8 @@ fn phase_n_script(seed: u64, cfg: &SimConfig) -> Vec<Request> {
     requests
 }
 
-/// One wire session's observable outcome (phases N and M).
-struct NetSession {
+/// One wire session's observable outcome (phases N, M and T).
+struct WireSession {
     /// Serialized responses in request order.
     transcript: Vec<String>,
     /// Cumulative delivered bytes after each completed write — the frame
@@ -1222,8 +1228,12 @@ struct NetSession {
     /// exchange (whose tolerated refused-reconnects would otherwise
     /// pollute the counts).
     client_counters: (u64, u64, u64),
-    /// The server-side engine, kept alive so phase M can cross-check its
-    /// registry after the session.
+    /// The client's trace ring, read at the very end of the client task
+    /// — after the shutdown exchange — so every server-side span still
+    /// finds its wire-side parent in the union.
+    client_spans: Vec<TraceSpan>,
+    /// The server-side engine, kept alive so phases M and T can
+    /// cross-check its registry and spans after the session.
     engine: Arc<Engine>,
 }
 
@@ -1236,12 +1246,21 @@ struct NetSession {
 /// forces the client to replay the *entire* batch with the same request
 /// ids over a fresh connection, so the already-applied prefix must be
 /// answered from the idempotency memo for the transcript to match.
-fn phase_n_session(
+///
+/// With `durable`, the engine sits on a real [`Store`] on the simulated
+/// filesystem, so span trees run all the way down to `store.append` /
+/// `store.fsync` (phase T); otherwise it is storeless (phases N and M).
+/// Every dispatched window deeper than one request is counted in
+/// [`ExploreStats::deep_windows`].
+fn wire_session(
     seed: u64,
     script: &[Request],
     cut_at: Option<u64>,
     pipelined: bool,
-) -> Result<NetSession, String> {
+    durable: bool,
+    stats: &mut ExploreStats,
+) -> Result<WireSession, String> {
+    let phase = if durable { "phase T" } else { "phase N" };
     let sched = Arc::new(SimScheduler::new(seed));
     let sim_env = SimEnv::with_scheduler(Arc::new(SimFs::new()), Arc::clone(&sched), seed);
     let net = SimNet::new(
@@ -1254,22 +1273,32 @@ fn phase_n_session(
         },
     );
     let env: Arc<dyn Env> = Arc::new(sim_env.with_net(Arc::clone(&net)));
-    let engine = Arc::new(Engine::with_env(EngineConfig::default(), Arc::clone(&env)));
-    let engine_probe = Arc::clone(&engine);
-    let server = Server::bind("sim:harness", engine)
-        .map_err(|e| format!("seed {seed}: phase N: bind failed: {e}"))?;
+    let engine = if durable {
+        let store = Store::open_with(store_config(NO_COMPACTION), Arc::clone(&env))
+            .map_err(|e| format!("seed {seed}: {phase}: store open failed: {e}"))?;
+        Engine::with_store(EngineConfig::default(), store)
+            .map_err(|e| format!("seed {seed}: {phase}: recovery failed: {e}"))?
+            .0
+    } else {
+        Engine::with_env(EngineConfig::default(), Arc::clone(&env))
+    };
+    let engine = Arc::new(engine);
+    let server = Server::bind("sim:harness", Arc::clone(&engine))
+        .map_err(|e| format!("seed {seed}: {phase}: bind failed: {e}"))?;
 
     let transcript = Arc::new(Mutex::new(Vec::new()));
     let counters = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
+    let client_spans = Arc::new(Mutex::new(Vec::new()));
     let script_owned = script.to_vec();
     let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
         Box::new(move || {
-            server.run_sequential().expect("phase N server run");
+            server.run_sequential().expect("wire session server run");
         }),
         {
             let env = Arc::clone(&env);
             let transcript = Arc::clone(&transcript);
             let counters = Arc::clone(&counters);
+            let client_spans = Arc::clone(&client_spans);
             Box::new(move || {
                 let mut client =
                     Client::connect_retrying("sim:harness", Arc::clone(&env), 8).expect("connect");
@@ -1279,23 +1308,18 @@ fn phase_n_session(
                     base: Duration::from_millis(10),
                     cap: Duration::from_millis(160),
                 });
-                if pipelined {
-                    let responses = client
+                let responses = if pipelined {
+                    client
                         .call_pipelined(&script_owned)
-                        .expect("pipelined script");
-                    let mut transcript = transcript.lock().expect("transcript");
-                    for response in &responses {
-                        transcript.push(serde::to_string(response));
-                    }
+                        .expect("pipelined script")
                 } else {
-                    for request in &script_owned {
-                        let response = client.call(request).expect("scripted call");
-                        transcript
-                            .lock()
-                            .expect("transcript")
-                            .push(serde::to_string(&response));
-                    }
-                }
+                    script_owned
+                        .iter()
+                        .map(|request| client.call(request).expect("scripted call"))
+                        .collect()
+                };
+                *transcript.lock().expect("transcript") =
+                    responses.iter().map(serde::to_string).collect();
                 // Sample the resilience counters while they still reflect
                 // the script alone: the shutdown below tolerates refused
                 // reconnects, which would inflate them.
@@ -1313,20 +1337,26 @@ fn phase_n_session(
                     Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {}
                     Err(e) => panic!("shutdown never acknowledged: {e}"),
                 }
+                *client_spans.lock().expect("client spans") = client.registry().traces();
             })
         },
     ];
     sched.run(tasks).map_err(|panics| {
-        format!("seed {seed}: phase N (cut {cut_at:?}): task panics: {panics:?}")
+        format!("seed {seed}: {phase} (cut {cut_at:?}): task panics: {panics:?}")
     })?;
 
+    let depths = engine.registry().server_batch_depth.snapshot();
+    // Bucket i holds depths of bit length i: depth 1 is bucket 1.
+    stats.deep_windows += depths.buckets[2..].iter().sum::<u64>();
     let transcript = transcript.lock().expect("transcript").clone();
     let client_counters = *counters.lock().expect("counters");
-    Ok(NetSession {
+    let client_spans = client_spans.lock().expect("client spans").clone();
+    Ok(WireSession {
         transcript,
         marks: net.write_marks(),
         client_counters,
-        engine: engine_probe,
+        client_spans,
+        engine,
     })
 }
 
@@ -1354,8 +1384,8 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     }
 
     // Fault-free baseline, twice: deterministic and wire-transparent.
-    let baseline = phase_n_session(seed, &script, None, false)?;
-    let again = phase_n_session(seed, &script, None, false)?;
+    let baseline = wire_session(seed, &script, None, false, false, stats)?;
+    let again = wire_session(seed, &script, None, false, false, stats)?;
     if again.transcript != baseline.transcript || again.marks != baseline.marks {
         return Err(format!(
             "seed {seed}: phase N: same seed produced different sessions \
@@ -1383,7 +1413,7 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
         prev = mark;
     }
     for &(cut, is_mid) in &cut_points {
-        let transcript = phase_n_session(seed, &script, Some(cut), false)?.transcript;
+        let transcript = wire_session(seed, &script, Some(cut), false, false, stats)?.transcript;
         if transcript != expected {
             return Err(format!(
                 "seed {seed}: phase N cut@{cut}: transcript diverged from the \
@@ -1406,7 +1436,7 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     // with the same request ids over a fresh connection.  Exactly-once
     // demands the applied prefix answers from the idempotency memo, so
     // the transcript must still byte-match the never-dropped oracle.
-    let pipelined = phase_n_session(seed, &script, None, true)?;
+    let pipelined = wire_session(seed, &script, None, true, false, stats)?;
     if pipelined.transcript != expected {
         return Err(format!(
             "seed {seed}: phase N pipelined: fault-free burst diverged from the \
@@ -1425,7 +1455,7 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
         prev = mark;
     }
     for &cut in &pipe_cuts {
-        let transcript = phase_n_session(seed, &script, Some(cut), true)?.transcript;
+        let transcript = wire_session(seed, &script, Some(cut), true, false, stats)?.transcript;
         if transcript != expected {
             return Err(format!(
                 "seed {seed}: phase N pipelined cut@{cut}: transcript diverged \
@@ -1653,7 +1683,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     // once, the connection gauge drained, one request-latency sample and
     // one `server.request` span per scripted request (the shutdown frame
     // records neither).
-    let baseline = phase_n_session(seed, &script, None, false)?;
+    let baseline = wire_session(seed, &script, None, false, false, stats)?;
     let context = "net baseline";
     let (retries, reconnects, sleeps) = baseline.client_counters;
     metric_check(seed, context, "client_retries", retries, 0)?;
@@ -1718,7 +1748,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
         cuts.push(mid); // a mid-script frame boundary
     }
     for &cut in &cuts {
-        let session = phase_n_session(seed, &script, Some(cut), false)?;
+        let session = wire_session(seed, &script, Some(cut), false, false, stats)?;
         let context = format!("net cut@{cut}");
         let (retries, reconnects, sleeps) = session.client_counters;
         metric_check(seed, &context, "client_retries", retries, 1)?;
@@ -1746,7 +1776,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     // replies lost — the replay of that prefix must come from the
     // idempotency memo (never re-execute), and the retry must be exactly
     // one.
-    let pipelined = phase_n_session(seed, &script, None, true)?;
+    let pipelined = wire_session(seed, &script, None, true, false, stats)?;
     let (retries, reconnects, sleeps) = pipelined.client_counters;
     metric_check(seed, "pipelined baseline", "client_retries", retries, 0)?;
     metric_check(
@@ -1765,7 +1795,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     )?;
     stats.metric_net_checks += 1;
     if let Some(&burst_mark) = pipelined.marks.first() {
-        let session = phase_n_session(seed, &script, Some(burst_mark), true)?;
+        let session = wire_session(seed, &script, Some(burst_mark), true, false, stats)?;
         let context = format!("pipelined cut@{burst_mark}");
         let (retries, reconnects, sleeps) = session.client_counters;
         metric_check(seed, &context, "client_retries", retries, 1)?;
@@ -1801,110 +1831,6 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
 // Phase T: causal tracing invariants and the flight-recorder journal
 // ---------------------------------------------------------------------
 
-/// One traced durable wire session: both sides' span captures plus the
-/// counters and frame marks the causality checks need.
-struct TraceSession {
-    /// Cumulative delivered bytes after each completed write.
-    marks: Vec<u64>,
-    /// `(retries, reconnects, backoff_sleeps)`, sampled before the
-    /// shutdown exchange (same rationale as [`NetSession`]).
-    client_counters: (u64, u64, u64),
-    /// The client's trace ring, read at the very end of the client task
-    /// — after the shutdown exchange — so every server-side span still
-    /// finds its wire-side parent in the union.
-    client_spans: Vec<TraceSpan>,
-    /// The server-side registry's trace ring after the session.
-    server_spans: Vec<TraceSpan>,
-}
-
-/// Runs the script like [`phase_n_session`] but against a *durable*
-/// engine (a real [`Store`] on the simulated filesystem), so span trees
-/// run all the way down to `store.append` / `store.fsync`.
-fn phase_t_session(
-    seed: u64,
-    script: &[Request],
-    cut_at: Option<u64>,
-    pipelined: bool,
-) -> Result<TraceSession, String> {
-    let sched = Arc::new(SimScheduler::new(seed));
-    let sim_env = SimEnv::with_scheduler(Arc::new(SimFs::new()), Arc::clone(&sched), seed);
-    let net = SimNet::new(
-        sim_env.clock_handle(),
-        Some(Arc::clone(&sched)),
-        seed,
-        NetFaultPlan {
-            refuse_connects: 0,
-            cut_at,
-        },
-    );
-    let env: Arc<dyn Env> = Arc::new(sim_env.with_net(Arc::clone(&net)));
-    let store = Store::open_with(store_config(NO_COMPACTION), Arc::clone(&env))
-        .map_err(|e| format!("seed {seed}: phase T: store open failed: {e}"))?;
-    let (engine, _) = Engine::with_store(EngineConfig::default(), store)
-        .map_err(|e| format!("seed {seed}: phase T: recovery failed: {e}"))?;
-    let engine = Arc::new(engine);
-    let engine_probe = Arc::clone(&engine);
-    let server = Server::bind("sim:harness", engine)
-        .map_err(|e| format!("seed {seed}: phase T: bind failed: {e}"))?;
-
-    let counters = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
-    let client_spans = Arc::new(Mutex::new(Vec::new()));
-    let script_owned = script.to_vec();
-    let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-        Box::new(move || {
-            server.run_sequential().expect("phase T server run");
-        }),
-        {
-            let env = Arc::clone(&env);
-            let counters = Arc::clone(&counters);
-            let client_spans = Arc::clone(&client_spans);
-            Box::new(move || {
-                let mut client =
-                    Client::connect_retrying("sim:harness", Arc::clone(&env), 8).expect("connect");
-                client.set_call_timeout(Some(Duration::from_secs(2)));
-                client.set_retry(RetryPolicy {
-                    attempts: 8,
-                    base: Duration::from_millis(10),
-                    cap: Duration::from_millis(160),
-                });
-                if pipelined {
-                    client
-                        .call_pipelined(&script_owned)
-                        .expect("pipelined script");
-                } else {
-                    for request in &script_owned {
-                        client.call(request).expect("scripted call");
-                    }
-                }
-                let registry = client.registry();
-                *counters.lock().expect("counters") = (
-                    registry.client_retries.get(),
-                    registry.client_reconnects.get(),
-                    registry.client_backoff_sleeps.get(),
-                );
-                match client.call(&Request::Shutdown) {
-                    Ok(_) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {}
-                    Err(e) => panic!("shutdown never acknowledged: {e}"),
-                }
-                *client_spans.lock().expect("client spans") = client.registry().traces();
-            })
-        },
-    ];
-    sched.run(tasks).map_err(|panics| {
-        format!("seed {seed}: phase T (cut {cut_at:?}): task panics: {panics:?}")
-    })?;
-
-    let client_counters = *counters.lock().expect("counters");
-    let client_spans = client_spans.lock().expect("client spans").clone();
-    Ok(TraceSession {
-        marks: net.write_marks(),
-        client_counters,
-        client_spans,
-        server_spans: engine_probe.registry().traces(),
-    })
-}
-
 /// Asserts the trace-causality invariants over one session's combined
 /// client+server span capture; returns `(spans_checked, retry_links)`.
 ///
@@ -1924,14 +1850,12 @@ fn phase_t_session(
 fn check_trace_causality(
     seed: u64,
     context: &str,
-    session: &TraceSession,
+    session: &WireSession,
     min_retry_links: u64,
 ) -> Result<(u64, u64), String> {
+    let server_spans = session.engine.registry().traces();
     let mut by_id: BTreeMap<(u128, u64), (&TraceSpan, bool)> = BTreeMap::new();
-    for (spans, client_side) in [
-        (&session.client_spans, true),
-        (&session.server_spans, false),
-    ] {
+    for (spans, client_side) in [(&session.client_spans, true), (&server_spans, false)] {
         for span in spans.iter() {
             if span.span_id == 0 {
                 return Err(format!(
@@ -2028,7 +1952,7 @@ fn check_trace_causality(
     }
 
     let mut appends = 0u64;
-    for span in &session.server_spans {
+    for span in &server_spans {
         if span.name != "store.append" {
             continue;
         }
@@ -2039,8 +1963,7 @@ fn check_trace_causality(
                  a commit batch annotation"
             ));
         };
-        let flushed = session
-            .server_spans
+        let flushed = server_spans
             .iter()
             .any(|f| f.name == "store.fsync" && f.annotation("batch") == Some(batch));
         if !flushed {
@@ -2066,7 +1989,7 @@ fn check_trace_causality(
 fn phase_t_tracing(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Result<(), String> {
     let script = phase_n_script(seed, cfg);
 
-    let baseline = phase_t_session(seed, &script, None, false)?;
+    let baseline = wire_session(seed, &script, None, false, true, stats)?;
     if baseline.client_counters != (0, 0, 0) {
         return Err(format!(
             "seed {seed}: phase T: fault-free baseline retried: {:?}",
@@ -2083,7 +2006,7 @@ fn phase_t_tracing(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     // exchange).
     let script_marks = &baseline.marks[..baseline.marks.len().saturating_sub(2)];
     if let Some(&mid) = script_marks.get(script_marks.len() / 2) {
-        let session = phase_t_session(seed, &script, Some(mid), false)?;
+        let session = wire_session(seed, &script, Some(mid), false, true, stats)?;
         let (retries, _, _) = session.client_counters;
         if retries == 0 {
             return Err(format!(
@@ -2101,12 +2024,12 @@ fn phase_t_tracing(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     // The pipelined burst, fault-free and cut at its first completed
     // write — a guaranteed mid-batch loss forcing a whole-batch replay
     // under fresh attempt spans.
-    let pipelined = phase_t_session(seed, &script, None, true)?;
+    let pipelined = wire_session(seed, &script, None, true, true, stats)?;
     let (checked, _) = check_trace_causality(seed, "trace pipelined", &pipelined, 0)?;
     stats.trace_sessions += 1;
     stats.trace_spans_checked += checked;
     if let Some(&burst) = pipelined.marks.first() {
-        let session = phase_t_session(seed, &script, Some(burst), true)?;
+        let session = wire_session(seed, &script, Some(burst), true, true, stats)?;
         let (retries, _, _) = session.client_counters;
         let (checked, links) = check_trace_causality(
             seed,
@@ -2339,8 +2262,10 @@ mod tests {
         let seed = 0xC0FFEE;
         let script = phase_n_script(seed, &cfg);
         assert_eq!(script.len(), 8, "create + 3 churn + 4 questions");
+        let mut stats = ExploreStats::default();
 
-        let baseline = phase_n_session(seed, &script, None, false).expect("baseline");
+        let baseline =
+            wire_session(seed, &script, None, false, false, &mut stats).expect("baseline");
         assert_eq!(baseline.client_counters, (0, 0, 0));
         let registry = baseline.engine.registry();
         assert_eq!(registry.engine_requests.get(), 9, "script + shutdown");
@@ -2349,7 +2274,8 @@ mod tests {
         // marks[4] is the end of the 5th frame — the third request
         // (writes alternate request/reply), a churn mutation.
         let cut = baseline.marks[4];
-        let session = phase_n_session(seed, &script, Some(cut), false).expect("cut run");
+        let session =
+            wire_session(seed, &script, Some(cut), false, false, &mut stats).expect("cut run");
         assert_eq!(session.transcript, baseline.transcript, "exactly-once held");
         assert_eq!(
             session.client_counters,
@@ -2364,10 +2290,12 @@ mod tests {
         );
         assert_eq!(registry.engine_requests.get(), 9, "nothing re-executed");
 
-        let pipelined = phase_n_session(seed, &script, None, true).expect("pipelined");
+        let pipelined =
+            wire_session(seed, &script, None, true, false, &mut stats).expect("pipelined");
         assert_eq!(pipelined.client_counters, (0, 0, 0));
         let burst = pipelined.marks[0];
-        let session = phase_n_session(seed, &script, Some(burst), true).expect("burst cut");
+        let session =
+            wire_session(seed, &script, Some(burst), true, false, &mut stats).expect("burst cut");
         assert_eq!(session.transcript, baseline.transcript, "exactly-once held");
         assert_eq!(session.client_counters, (1, 1, 1));
         let registry = session.engine.registry();

@@ -14,7 +14,8 @@
 
 use cqfit_data::Schema;
 use cqfit_engine::{
-    Engine, EngineConfig, ExamplePayload, FitMode, Polarity, QueryClass, Request, Response,
+    Engine, EngineConfig, Envelope, ExamplePayload, FitMode, Polarity, QueryClass, Request,
+    Response,
 };
 use cqfit_gen::{random_example, RandomConfig};
 use rand::rngs::StdRng;
@@ -145,7 +146,8 @@ fn handle_batch_matches_per_request_calls() {
     for t in 0..4 {
         all.extend(workspace_stream(&format!("w{t}"), 9_100 + t as u64));
     }
-    let batched = b.handle_batch(&all);
+    let window: Vec<Envelope> = all.iter().map(|r| Envelope::new(r, None)).collect();
+    let batched = b.handle_window(&window);
     let sequential: Vec<Response> = all.iter().map(|r| a.handle(r)).collect();
     assert_eq!(render(&sequential), render(&batched));
 }
