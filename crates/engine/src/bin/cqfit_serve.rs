@@ -200,7 +200,7 @@ fn main() {
         }
     }
     // The Prometheus endpoint shares the engine (and so its registry and
-    // Net seam); its thread dies with the process on shutdown.
+    // Net and spawn seams); its task dies with the process on shutdown.
     if let Some(maddr) = metrics_addr {
         let listener = match engine.env().net().bind(&maddr) {
             Ok(l) => l,
@@ -211,8 +211,11 @@ fn main() {
         };
         let bound = listener.local_addr().unwrap_or_else(|_| maddr.clone());
         println!("metrics on {bound}");
-        let engine = Arc::clone(&engine);
-        std::thread::spawn(move || serve_metrics(listener, engine));
+        let metrics_engine = Arc::clone(&engine);
+        // Detached: the handle is dropped, the task runs until exit.
+        engine
+            .env()
+            .spawn(Box::new(move || serve_metrics(listener, metrics_engine)));
     }
     let server = match Server::bind(&addr, engine) {
         Ok(s) => s,

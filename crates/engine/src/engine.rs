@@ -10,7 +10,7 @@ use cqfit_env::{Env, RealEnv};
 use cqfit_hom::HomCache;
 use cqfit_obs::{Registry, TraceContext, Tracer};
 use cqfit_store::{LogRecord, RecoveryReport, Store, StoreError, WorkspaceSnapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
@@ -147,14 +147,67 @@ impl WorkspaceSlot {
 /// the last replayed identified mutations per workspace (the responses
 /// are deterministic from the records), so a retry that races a crash
 /// cannot re-apply after recovery.
+///
+/// Lookup, apply and record are atomic per `(workspace, request_id)`:
+/// a request claims its pair before it runs (see [`MemoClaim`]), so the
+/// same pair arriving on a second connection meanwhile waits for the
+/// claim to end instead of applying twice.
 #[derive(Debug, Default)]
 struct IdempotencyMemo {
     recent: HashMap<String, VecDeque<(u64, Response)>>,
     order: VecDeque<String>,
+    /// The `(workspace, request_id)` pairs of identified mutations in
+    /// flight.
+    claims: HashSet<(String, u64)>,
 }
 
 /// Upper bound on workspaces tracked by the [`IdempotencyMemo`].
 const MEMO_CAP: usize = 1024;
+
+/// How long a duplicate sleeps between looks at a claimed memo pair.
+const MEMO_WAIT: Duration = Duration::from_millis(1);
+
+/// An in-flight claim on one `(workspace, request_id)`, held from the
+/// memo decision until the response is recorded.  Dropping it releases
+/// the pair — also when the request failed or unwound — so a waiting
+/// duplicate never waits forever.
+struct MemoClaim<'a> {
+    memo: &'a Mutex<IdempotencyMemo>,
+    key: (String, u64),
+}
+
+impl MemoClaim<'_> {
+    /// Records a successful response, then releases the claim.  A
+    /// duplicate looks the memo up before it tries to claim, so it
+    /// replays the record even before the release.
+    fn settle(self, response: &Response) {
+        if response.is_ok() {
+            let (ws, id) = &self.key;
+            self.memo
+                .lock()
+                .expect("idempotency memo")
+                .record(ws, *id, response.clone());
+        }
+    }
+}
+
+impl Drop for MemoClaim<'_> {
+    fn drop(&mut self) {
+        self.memo
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .claims
+            .remove(&self.key);
+    }
+}
+
+/// What the memo decided for one identified mutation.
+enum MemoDecision<'a> {
+    /// Run it, holding the claim until the response is recorded.
+    Apply(MemoClaim<'a>),
+    /// Return an earlier application's response instead.
+    Replay(Response),
+}
 
 /// The store must hand recovery at least a pipeline window's worth of
 /// replayed request ids, or a batch retry across a crash could re-apply
@@ -498,11 +551,14 @@ impl Engine {
     /// id, the memoed response is returned and the mutation does **not**
     /// run again — this is what makes the client's reconnect-and-retry
     /// after an ambiguous drop exactly-once.  Successful identified
-    /// mutations update the memo.  The check-then-record pair is not
-    /// atomic with respect to the mutation itself, so the same
-    /// `(workspace, request_id)` arriving on two connections at once
-    /// could apply twice; within one window the pair is safe, because a
-    /// workspace's requests run in order on one thread.
+    /// mutations update the memo.  Lookup, apply and record are atomic
+    /// per `(workspace, request_id)`: the request claims the pair first,
+    /// and the same pair arriving on another connection meanwhile (a
+    /// client retry overlapping the window of the connection it
+    /// replaces) waits until the claim ends, then replays the recorded
+    /// response — or, if the first attempt failed, runs itself.  The
+    /// claim is a memo entry, not a held lock, so concurrent appends to
+    /// different workspaces still group-commit.
     ///
     /// **Tracing.**  An envelope with a trace context gets an
     /// `engine.handle` child span (annotated with op, workspace and
@@ -538,9 +594,15 @@ impl Engine {
             .collect()
     }
 
-    /// One request of a window: memo lookup, span, dispatch, memo record.
+    /// One request of a window: memo claim, span, dispatch, memo record.
     fn handle_one(&self, envelope: &Envelope<'_>) -> Response {
         let Envelope { request, id, trace } = *envelope;
+        // Scheduling point, ahead of the memo decision: no engine lock is
+        // held here, so a simulated scheduler may interleave other tasks
+        // between whole requests — the granularity at which the engine's
+        // own locking must already make any interleaving equivalent to
+        // some sequential order.
+        self.env.yield_point("engine.handle");
         let mut span = trace.map(|ctx| {
             let mut span = self
                 .tracer
@@ -555,34 +617,57 @@ impl Engine {
             span
         });
         let memo_key = match (id, request.workspace()) {
-            (Some(id), Some(ws)) if request.is_mutation() => Some((id, ws.to_string())),
+            (Some(id), Some(ws)) if request.is_mutation() => Some((ws.to_string(), id)),
             _ => None,
         };
-        if let Some((id, ws)) = &memo_key {
-            let memo = self.memo.lock().expect("idempotency memo");
-            if let Some(replay) = memo.lookup(ws, *id) {
-                self.registry.engine_memo_replays.inc();
-                if let Some(mut span) = span {
-                    span.annotate("memo_replay", "true");
-                    span.finish(&self.tracer);
+        let claim = match memo_key {
+            Some(key) => match self.claim(key) {
+                MemoDecision::Apply(claim) => Some(claim),
+                MemoDecision::Replay(replay) => {
+                    self.registry.engine_memo_replays.inc();
+                    if let Some(mut span) = span {
+                        span.annotate("memo_replay", "true");
+                        span.finish(&self.tracer);
+                    }
+                    return replay;
                 }
-                return replay;
-            }
-        }
+            },
+            None => None,
+        };
         let trace = span.as_mut().map(|s| s.context());
         let response = self.handle_inner(request, id, trace.as_ref());
-        if let Some((id, ws)) = &memo_key {
-            if response.is_ok() {
-                self.memo
-                    .lock()
-                    .expect("idempotency memo")
-                    .record(ws, *id, response.clone());
-            }
+        if let Some(claim) = claim {
+            claim.settle(&response);
         }
         if let Some(span) = span {
             span.finish(&self.tracer);
         }
         response
+    }
+
+    /// Claims `(workspace, request_id)` for the calling request, or
+    /// returns the memoed response of its earlier application.  While
+    /// another request holds the claim, waits — yielding to the
+    /// scheduler and sleeping on the environment's clock — until that
+    /// claim ends in a record (replayed here) or a release after a
+    /// failure (claimed here).
+    fn claim(&self, key: (String, u64)) -> MemoDecision<'_> {
+        loop {
+            {
+                let mut memo = self.memo.lock().expect("idempotency memo");
+                if let Some(replay) = memo.lookup(&key.0, key.1) {
+                    return MemoDecision::Replay(replay);
+                }
+                if memo.claims.insert(key.clone()) {
+                    return MemoDecision::Apply(MemoClaim {
+                        memo: &self.memo,
+                        key,
+                    });
+                }
+            }
+            self.env.yield_point("engine.memo_wait");
+            self.env.clock().sleep(MEMO_WAIT);
+        }
     }
 
     fn handle_inner(
@@ -591,11 +676,6 @@ impl Engine {
         request_id: Option<u64>,
         trace: Option<&TraceContext>,
     ) -> Response {
-        // Scheduling point: no engine lock is held here, so a simulated
-        // scheduler may interleave other tasks between whole requests —
-        // the granularity at which the engine's own locking must already
-        // make any interleaving equivalent to some sequential order.
-        self.env.yield_point("engine.handle");
         self.registry.engine_requests.inc();
         match request {
             Request::Ping => Response::Pong,
@@ -702,9 +782,9 @@ impl Engine {
                 // The workspace is gone: its memo entry must go with it,
                 // or a later recreate under the same name could answer a
                 // stale retry with the dead workspace's response.  (The
-                // *drop's own* response is still memoed afterwards by
-                // `handle_with_id`, so an identified drop retry stays
-                // exactly-once.)
+                // *drop's own* response is still memoed afterwards, when
+                // its memo claim settles, so an identified drop retry
+                // stays exactly-once.)
                 self.memo
                     .lock()
                     .expect("idempotency memo")
@@ -1650,5 +1730,74 @@ mod tests {
             handled.iter().all(|(_, thread)| *thread == me),
             "a one-group window left the calling thread"
         );
+    }
+
+    /// An environment whose `engine.handle` yield point, once armed,
+    /// holds each caller until a second thread arrives: two requests pass
+    /// it together and then race for the memo.
+    #[derive(Debug)]
+    struct RendezvousEnv {
+        inner: Arc<dyn Env>,
+        armed: std::sync::atomic::AtomicBool,
+        barrier: std::sync::Barrier,
+    }
+
+    impl Env for RendezvousEnv {
+        fn fs(&self) -> &dyn cqfit_env::Fs {
+            self.inner.fs()
+        }
+
+        fn clock(&self) -> &dyn cqfit_env::Clock {
+            self.inner.clock()
+        }
+
+        fn yield_point(&self, label: &str) {
+            if label == "engine.handle" && self.armed.load(Ordering::SeqCst) {
+                self.barrier.wait();
+            }
+        }
+
+        fn rng_u64(&self) -> u64 {
+            self.inner.rng_u64()
+        }
+    }
+
+    /// Regression: one `(workspace, request_id)` arriving on two
+    /// connections at once — a retry overlapping the window of the
+    /// connection it replaces — applies once, and both callers get the
+    /// same response.
+    #[test]
+    fn overlapping_duplicates_of_one_request_id_apply_once() {
+        let env = Arc::new(RendezvousEnv {
+            inner: RealEnv::arc(),
+            armed: std::sync::atomic::AtomicBool::new(false),
+            barrier: std::sync::Barrier::new(2),
+        });
+        let engine = Engine::with_env(EngineConfig::default(), Arc::clone(&env) as Arc<dyn Env>);
+        create(&engine, "w");
+        let add = Request::AddExample {
+            workspace: "w".into(),
+            polarity: Polarity::Positive,
+            example: ExamplePayload::Text("R(a,b)".into()),
+        };
+        env.armed.store(true, Ordering::SeqCst);
+        let responses: Vec<String> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| serde::to_string(&engine.handle_with_id(&add, Some(9)))))
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        env.armed.store(false, Ordering::SeqCst);
+        assert_eq!(responses[0], responses[1], "one application, one answer");
+        match engine.handle(&Request::WorkspaceInfo {
+            workspace: "w".into(),
+        }) {
+            Response::Info {
+                positives: 1,
+                revision: 1,
+                ..
+            } => {}
+            other => panic!("the duplicate applied twice: {other:?}"),
+        }
     }
 }

@@ -14,14 +14,14 @@
 //! answered with an error response carrying the line-internal column of
 //! the offending token; the connection stays open.  A `{"op":"shutdown"}`
 //! request is acknowledged, then the server stops accepting connections
-//! and `run` returns after the remaining connection threads drain.
+//! and `run` returns after the remaining connection tasks drain.
 //!
 //! Shutdown is a **clean drain**: connections that observe the shutdown
 //! flag keep serving any requests already received (including a partial
 //! line that completes within the grace window) and reply to them instead
 //! of dropping the socket, bounded by a short grace deadline so a client
 //! streaming forever cannot hold the server open.  After every connection
-//! thread has drained, `run` flushes and syncs any open store files, so a
+//! task has drained, `run` flushes and syncs any open store files, so a
 //! clean shutdown never leaves buffered log records behind.
 //!
 //! **Trust model**: the server is meant for cooperating clients (it binds
@@ -34,7 +34,7 @@
 
 use crate::engine::{Engine, Envelope};
 use crate::protocol::{Request, Response};
-use cqfit_env::{Clock, Env, NetConn, NetListener};
+use cqfit_env::{Clock, Env, NetConn, NetListener, TaskHandle};
 use cqfit_obs::TraceContext;
 use serde::Deserialize;
 use std::io::{self, ErrorKind};
@@ -104,15 +104,17 @@ impl Server {
     }
 
     /// Serves until a shutdown request arrives, then joins all connection
-    /// threads and returns.  One thread per connection; every connection
-    /// shares the engine (and therefore the hom-cache).
+    /// tasks and returns.  One task per connection, started through
+    /// [`Env::spawn`] (an OS thread in production, a scheduler task
+    /// under simulation); every connection shares the engine (and
+    /// therefore the hom-cache).
     ///
     /// # Errors
     /// Propagates accept-loop I/O failures (per-connection I/O errors only
     /// end that connection).
     pub fn run(self) -> io::Result<()> {
         let addr = self.local_addr()?;
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut tasks: Vec<Box<dyn TaskHandle>> = Vec::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -125,53 +127,23 @@ impl Server {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // Reap finished connection threads so a long-lived server does
-            // not accumulate one JoinHandle per connection ever accepted.
-            handles.retain(|h| !h.is_finished());
+            // Reap finished connection tasks so a long-lived server does
+            // not accumulate one handle per connection ever accepted.
+            tasks.retain(|t| !t.is_finished());
             let engine = Arc::clone(&self.engine);
             let shutdown = Arc::clone(&self.shutdown);
             let addr = addr.clone();
-            handles.push(std::thread::spawn(move || {
+            tasks.push(self.engine.env().spawn(Box::new(move || {
                 let peer = conn.peer_addr();
                 if let Err(e) = serve_connection(&engine, &shutdown, &addr, conn) {
                     if !is_disconnect(&e) {
                         eprintln!("cqfit-serve: connection {peer}: {e}");
                     }
                 }
-            }));
+            })));
         }
-        for h in handles {
-            let _ = h.join();
-        }
-        self.finish()
-    }
-
-    /// Serves connections strictly one at a time on the calling thread —
-    /// no connection threads, so a deterministic scheduler controls every
-    /// interleaving.  Each connection is served exactly as under
-    /// [`Server::run`], with the same pipeline window.  The simulation
-    /// harness runs the server this way.
-    ///
-    /// # Errors
-    /// Propagates accept-loop I/O failures (per-connection I/O errors only
-    /// end that connection).
-    pub fn run_sequential(self) -> io::Result<()> {
-        let addr = self.local_addr()?;
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let conn = match self.accept_transient() {
-                Ok(Some(c)) => c,
-                Ok(None) => continue,
-                Err(e) => return Err(e),
-            };
-            let peer = conn.peer_addr();
-            if let Err(e) = serve_connection(&self.engine, &self.shutdown, &addr, conn) {
-                if !is_disconnect(&e) {
-                    eprintln!("cqfit-serve: connection {peer}: {e}");
-                }
-            }
+        for task in tasks {
+            let _ = task.join();
         }
         self.finish()
     }

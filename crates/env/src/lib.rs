@@ -26,10 +26,26 @@
 //! thread holds **no lock** that another registered task can block on —
 //! the simulated scheduler runs one registered task at a time, so
 //! yielding while holding such a lock would deadlock the simulation.
+//!
+//! ## Spawned tasks
+//!
+//! [`Env::spawn`] starts a long-lived task (a server's connection
+//! handler, a metrics endpoint) and returns a [`TaskHandle`].  In
+//! production it is `std::thread::spawn`.  Under simulation the task is
+//! registered with the deterministic scheduler, which then decides
+//! every switch between it and the other registered tasks.
+//!
+//! Call discipline: a spawned task must never block on an OS primitive
+//! (a mutex, condvar, channel or barrier) held or fed by another
+//! registered task.  Only one registered task runs at a time, so the
+//! holder would never be scheduled to release it.  A task waits for
+//! another through [`TaskHandle::join`], which yields to the scheduler
+//! until the joined task is done, or by polling at yield points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -166,6 +182,45 @@ pub trait Env: Send + Sync + fmt::Debug {
     }
     /// One draw from the environment's random source.
     fn rng_u64(&self) -> u64;
+    /// Starts `task` on a thread of its own.  Defaults to
+    /// `std::thread::spawn`; a simulating environment registers the task
+    /// with its scheduler instead.  See the crate docs for the call
+    /// discipline a spawned task must keep.
+    fn spawn(&self, task: Box<dyn FnOnce() + Send>) -> Box<dyn TaskHandle> {
+        Box::new(std::thread::spawn(task))
+    }
+}
+
+/// A task started by [`Env::spawn`].
+pub trait TaskHandle: Send {
+    /// Whether the task has finished, normally or by panic.
+    fn is_finished(&self) -> bool;
+    /// Waits until the task has finished.
+    ///
+    /// # Errors
+    /// The task's panic message, if it panicked.
+    fn join(self: Box<Self>) -> Result<(), String>;
+}
+
+impl TaskHandle for std::thread::JoinHandle<()> {
+    fn is_finished(&self) -> bool {
+        std::thread::JoinHandle::is_finished(self)
+    }
+
+    fn join(self: Box<Self>) -> Result<(), String> {
+        (*self)
+            .join()
+            .map_err(|payload| panic_message(payload.as_ref()))
+    }
+}
+
+/// The message carried by a caught panic payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// One step of the splitmix64 sequence held in `state`.
@@ -607,6 +662,25 @@ mod tests {
         clock.sleep(Duration::from_secs(3600));
         assert!(before.elapsed() < Duration::from_secs(1), "no real sleep");
         assert_eq!(clock.monotonic(), Duration::from_secs(3600));
+    }
+
+    #[test]
+    fn default_spawn_runs_on_a_thread_and_reports_panics() {
+        let env = RealEnv::new();
+        let ran = Arc::new(AtomicU64::new(0));
+        let task = {
+            let ran = Arc::clone(&ran);
+            env.spawn(Box::new(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }))
+        };
+        assert_eq!(task.join(), Ok(()));
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        let failing = env.spawn(Box::new(|| panic!("boom")));
+        while !failing.is_finished() {
+            std::thread::yield_now();
+        }
+        assert_eq!(failing.join(), Err("boom".to_string()));
     }
 
     #[test]

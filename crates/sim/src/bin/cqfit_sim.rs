@@ -79,19 +79,25 @@ fn main() -> ExitCode {
         "torn-tail coverage: {} records cut at {} boundaries and {} mid-record bytes",
         stats.records, stats.boundary_cuts, stats.mid_record_cuts
     );
+    // Phase G forms its batches with real threads, so this line alone
+    // varies between runs of one seed range.
     println!(
-        "network coverage: {} sessions; wire cut at {} frame boundaries and {} mid-frame bytes",
-        stats.net_executions, stats.net_boundary_cuts, stats.net_mid_frame_cuts
+        "group-commit coverage: {} batches cut {} times",
+        stats.group_batches,
+        stats.group_boundary_cuts + stats.group_mid_cuts
     );
     println!(
-        "pipelined coverage: {} group-committed batches cut {} times; \
-         {} burst sessions over {} wire cuts (whole-batch replay each); \
+        "network coverage: {} sessions; wire cut at {} frame boundaries and {} mid-frame bytes; \
+         {} two-client sessions",
+        stats.net_executions,
+        stats.net_boundary_cuts,
+        stats.net_mid_frame_cuts,
+        stats.net_concurrent_sessions
+    );
+    println!(
+        "pipelined coverage: {} burst sessions over {} wire cuts (whole-batch replay each); \
          {} server windows deeper than one request",
-        stats.group_batches,
-        stats.group_boundary_cuts + stats.group_mid_cuts,
-        stats.net_pipelined_executions,
-        stats.net_pipelined_cuts,
-        stats.deep_windows
+        stats.net_pipelined_executions, stats.net_pipelined_cuts, stats.deep_windows
     );
     println!(
         "metric invariants: {} store runs and {} wire sessions cross-checked \

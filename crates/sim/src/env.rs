@@ -1,6 +1,7 @@
 //! The simulated environment: a [`SimFs`], a deterministic auto-ticking
 //! clock, seeded randomness, and — when a [`SimScheduler`] is attached —
-//! yield points that actually switch tasks.
+//! yield points that actually switch tasks and spawns that register
+//! with the scheduler.
 //!
 //! Hand an `Arc<SimEnv>` to `Store::open_with` and the entire stack built
 //! on that store (the engine inherits the store's environment) performs
@@ -10,7 +11,7 @@ use crate::fs::SimFs;
 use crate::net::SimNet;
 use crate::sched::SimScheduler;
 use crate::splitmix;
-use cqfit_env::{Clock, Env, Fs, ManualClock, Net};
+use cqfit_env::{Clock, Env, Fs, ManualClock, Net, TaskHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -99,6 +100,13 @@ impl Env for SimEnv {
         match &self.net {
             Some(net) => net.as_ref(),
             None => cqfit_env::real_net(),
+        }
+    }
+
+    fn spawn(&self, task: Box<dyn FnOnce() + Send>) -> Box<dyn TaskHandle> {
+        match &self.sched {
+            Some(sched) => Box::new(sched.spawn(task)),
+            None => Box::new(std::thread::spawn(task)),
         }
     }
 

@@ -29,7 +29,9 @@
 //! * **Phase G — group-committed intra-batch torn tails.**  Concurrent
 //!   appenders drive one workspace's log through the store's commit
 //!   queue (real threads: the commit queue only batches under true
-//!   concurrency, and every invariant checked is schedule-independent),
+//!   concurrency, its followers block on a condvar that a cooperative
+//!   scheduler cannot run, and every invariant checked is
+//!   schedule-independent — only the batch counts vary between runs),
 //!   until at least one `write_all` carries several records — a group
 //!   commit.  The log is then cut at seeded intra-batch byte offsets —
 //!   every record boundary inside the batched write plus interior bytes
@@ -39,11 +41,15 @@
 //!   truncated exactly to the boundary, and the folded state matches
 //!   the surviving records.
 //! * **Phase N — network fault injection.**  A scripted session speaks
-//!   the real wire protocol (`Server::run_sequential` at the production
-//!   32-request window, plus a resilient [`Client`]) over a seeded
-//!   [`SimNet`] under the deterministic scheduler.  A fault-free
-//!   baseline must equal the in-process oracle byte-for-byte and
-//!   records every frame boundary; the wire is then cut once per
+//!   the real wire protocol (the production [`Server::run`], one
+//!   scheduler task per connection and the 32-request window, plus a
+//!   resilient [`Client`]) over a seeded [`SimNet`] under the
+//!   deterministic scheduler.  A fault-free baseline must equal the
+//!   in-process oracle byte-for-byte, and a rerun must repeat its
+//!   transcript, frame marks and server registry snapshot exactly; the
+//!   same holds for a session with two clients connected at once, each
+//!   on its own workspace and checked against its own oracle.  The
+//!   baseline records every frame boundary; the wire is then cut once per
 //!   execution — before the first byte, at every frame
 //!   boundary, and inside every frame — and the client's transcript must
 //!   *still* equal the never-dropped oracle's: acknowledged mutations
@@ -96,6 +102,7 @@ use cqfit_obs::{
 use cqfit_store::{LogRecord, Store, StoreConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -170,6 +177,9 @@ pub struct ExploreStats {
     pub net_boundary_cuts: u64,
     /// Phase-N wire cuts landing inside a frame (partial delivery).
     pub net_mid_frame_cuts: u64,
+    /// Phase-N fault-free sessions with two clients connected at once,
+    /// each on its own workspace.
+    pub net_concurrent_sessions: u64,
     /// Phase-N sessions driven through the pipelined client (one burst
     /// frame for the whole script), baselines + one per cut.
     pub net_pipelined_executions: u64,
@@ -219,6 +229,7 @@ impl ExploreStats {
         self.net_executions += other.net_executions;
         self.net_boundary_cuts += other.net_boundary_cuts;
         self.net_mid_frame_cuts += other.net_mid_frame_cuts;
+        self.net_concurrent_sessions += other.net_concurrent_sessions;
         self.net_pipelined_executions += other.net_pipelined_executions;
         self.net_pipelined_cuts += other.net_pipelined_cuts;
         self.deep_windows += other.deep_windows;
@@ -1205,31 +1216,53 @@ fn phase_g_group_commit(
 // Phase N: network fault injection over a simulated wire
 // ---------------------------------------------------------------------
 
-/// The scripted session for one seed: one workspace of churn plus the
+/// One client's scripted session: workspace `ws`'s churn plus the
 /// question battery, all spoken over the wire.  (The trailing `Shutdown`
-/// is issued by the client task itself, with its own lost-ack handling.)
-fn phase_n_script(seed: u64, cfg: &SimConfig) -> Vec<Request> {
-    let ws = "wn";
+/// is issued by a client task itself, with its own lost-ack handling.)
+fn client_script(ws: &str, seed: u64, cfg: &SimConfig) -> Vec<Request> {
     let mut requests = vec![create_request(ws)];
-    requests.extend(churn_mutations(ws, seed ^ 0x4000, cfg.net_steps));
+    requests.extend(churn_mutations(ws, seed, cfg.net_steps));
     requests.extend(questions(ws));
     requests
 }
 
+/// The scripted session for one seed.
+fn phase_n_script(seed: u64, cfg: &SimConfig) -> Vec<Request> {
+    client_script("wn", seed ^ 0x4000, cfg)
+}
+
+/// The never-dropped oracle: `script` answered in process, no network.
+fn oracle_transcript(seed: u64, script: &[Request]) -> Result<Vec<String>, String> {
+    let oracle = Engine::new(EngineConfig::default());
+    script
+        .iter()
+        .map(|request| {
+            let response = oracle.handle(request);
+            if response.is_ok() {
+                Ok(serde::to_string(&response))
+            } else {
+                Err(format!(
+                    "seed {seed}: phase N oracle: {request:?} failed: {response:?}"
+                ))
+            }
+        })
+        .collect()
+}
+
 /// One wire session's observable outcome (phases N, M and T).
 struct WireSession {
-    /// Serialized responses in request order.
+    /// Serialized responses in request order, client after client.
     transcript: Vec<String>,
     /// Cumulative delivered bytes after each completed write — the frame
     /// boundaries later cut sweeps target.
     marks: Vec<u64>,
-    /// `(retries, reconnects, backoff_sleeps)` from the client's metric
-    /// registry, sampled after the script but *before* the shutdown
-    /// exchange (whose tolerated refused-reconnects would otherwise
-    /// pollute the counts).
+    /// `(retries, reconnects, backoff_sleeps)` summed over the clients'
+    /// metric registries, each sampled after its script but *before* the
+    /// shutdown exchange (whose tolerated refused-reconnects would
+    /// otherwise pollute the counts).
     client_counters: (u64, u64, u64),
-    /// The client's trace ring, read at the very end of the client task
-    /// — after the shutdown exchange — so every server-side span still
+    /// The clients' trace rings, each read at the very end of its task —
+    /// after the shutdown exchange — so every server-side span still
     /// finds its wire-side parent in the union.
     client_spans: Vec<TraceSpan>,
     /// The server-side engine, kept alive so phases M and T can
@@ -1237,11 +1270,13 @@ struct WireSession {
     engine: Arc<Engine>,
 }
 
-/// Runs the script through a real `Server`/`Client` pair over a
-/// [`SimNet`] under the deterministic scheduler, optionally cutting the
-/// wire after `cut_at` delivered payload bytes.
+/// Runs each script through its own [`Client`], all connected at once
+/// to one production [`Server::run`] — a scheduler task per connection
+/// — over a [`SimNet`] under the deterministic scheduler, optionally
+/// cutting the wire after `cut_at` delivered payload bytes.  The last
+/// client to finish its script shuts the server down.
 ///
-/// With `pipelined`, the whole script goes out as one
+/// With `pipelined`, each whole script goes out as one
 /// [`Client::call_pipelined`] burst instead of call-by-call: a cut then
 /// forces the client to replay the *entire* batch with the same request
 /// ids over a fresh connection, so the already-applied prefix must be
@@ -1254,7 +1289,7 @@ struct WireSession {
 /// [`ExploreStats::deep_windows`].
 fn wire_session(
     seed: u64,
-    script: &[Request],
+    scripts: &[&[Request]],
     cut_at: Option<u64>,
     pipelined: bool,
     durable: bool,
@@ -1286,61 +1321,65 @@ fn wire_session(
     let server = Server::bind("sim:harness", Arc::clone(&engine))
         .map_err(|e| format!("seed {seed}: {phase}: bind failed: {e}"))?;
 
-    let transcript = Arc::new(Mutex::new(Vec::new()));
+    let transcripts = Arc::new(Mutex::new(vec![Vec::new(); scripts.len()]));
     let counters = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
     let client_spans = Arc::new(Mutex::new(Vec::new()));
-    let script_owned = script.to_vec();
-    let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-        Box::new(move || {
-            server.run_sequential().expect("wire session server run");
-        }),
-        {
-            let env = Arc::clone(&env);
-            let transcript = Arc::clone(&transcript);
-            let counters = Arc::clone(&counters);
-            let client_spans = Arc::clone(&client_spans);
-            Box::new(move || {
-                let mut client =
-                    Client::connect_retrying("sim:harness", Arc::clone(&env), 8).expect("connect");
-                client.set_call_timeout(Some(Duration::from_secs(2)));
-                client.set_retry(RetryPolicy {
-                    attempts: 8,
-                    base: Duration::from_millis(10),
-                    cap: Duration::from_millis(160),
-                });
-                let responses = if pipelined {
-                    client
-                        .call_pipelined(&script_owned)
-                        .expect("pipelined script")
-                } else {
-                    script_owned
-                        .iter()
-                        .map(|request| client.call(request).expect("scripted call"))
-                        .collect()
-                };
-                *transcript.lock().expect("transcript") =
-                    responses.iter().map(serde::to_string).collect();
-                // Sample the resilience counters while they still reflect
-                // the script alone: the shutdown below tolerates refused
-                // reconnects, which would inflate them.
-                let registry = client.registry();
-                *counters.lock().expect("counters") = (
-                    registry.client_retries.get(),
-                    registry.client_reconnects.get(),
-                    registry.client_backoff_sleeps.get(),
-                );
-                // Drive shutdown to completion.  A refused reconnect means
-                // the server already processed the shutdown but the wire
-                // died before the acknowledgment — success, not failure.
+    let unfinished = Arc::new(AtomicUsize::new(scripts.len()));
+    let mut tasks: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(move || {
+        server.run().expect("wire session server run");
+    })];
+    for (k, script) in scripts.iter().enumerate() {
+        let script = script.to_vec();
+        let env = Arc::clone(&env);
+        let transcripts = Arc::clone(&transcripts);
+        let counters = Arc::clone(&counters);
+        let client_spans = Arc::clone(&client_spans);
+        let unfinished = Arc::clone(&unfinished);
+        tasks.push(Box::new(move || {
+            let mut client =
+                Client::connect_retrying("sim:harness", Arc::clone(&env), 8).expect("connect");
+            client.set_call_timeout(Some(Duration::from_secs(2)));
+            client.set_retry(RetryPolicy {
+                attempts: 8,
+                base: Duration::from_millis(10),
+                cap: Duration::from_millis(160),
+            });
+            let responses = if pipelined {
+                client.call_pipelined(&script).expect("pipelined script")
+            } else {
+                script
+                    .iter()
+                    .map(|request| client.call(request).expect("scripted call"))
+                    .collect()
+            };
+            transcripts.lock().expect("transcripts")[k] =
+                responses.iter().map(serde::to_string).collect();
+            // Sample the resilience counters while they still reflect
+            // the script alone: the shutdown below tolerates refused
+            // reconnects, which would inflate them.
+            let registry = client.registry();
+            let mut sum = counters.lock().expect("counters");
+            sum.0 += registry.client_retries.get();
+            sum.1 += registry.client_reconnects.get();
+            sum.2 += registry.client_backoff_sleeps.get();
+            drop(sum);
+            // The last client drives shutdown to completion.  A refused
+            // reconnect means the server already processed the shutdown
+            // but the wire died before the acknowledgment — success, not
+            // failure.
+            if unfinished.fetch_sub(1, Ordering::SeqCst) == 1 {
                 match client.call(&Request::Shutdown) {
                     Ok(_) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {}
                     Err(e) => panic!("shutdown never acknowledged: {e}"),
                 }
-                *client_spans.lock().expect("client spans") = client.registry().traces();
-            })
-        },
-    ];
+            }
+            client_spans
+                .lock()
+                .expect("client spans")
+                .extend(client.registry().traces());
+        }));
+    }
     sched.run(tasks).map_err(|panics| {
         format!("seed {seed}: {phase} (cut {cut_at:?}): task panics: {panics:?}")
     })?;
@@ -1348,7 +1387,7 @@ fn wire_session(
     let depths = engine.registry().server_batch_depth.snapshot();
     // Bucket i holds depths of bit length i: depth 1 is bucket 1.
     stats.deep_windows += depths.buckets[2..].iter().sum::<u64>();
-    let transcript = transcript.lock().expect("transcript").clone();
+    let transcript = transcripts.lock().expect("transcripts").concat();
     let client_counters = *counters.lock().expect("counters");
     let client_spans = client_spans.lock().expect("client spans").clone();
     Ok(WireSession {
@@ -1360,46 +1399,78 @@ fn wire_session(
     })
 }
 
+/// What a same-seed rerun of a session must reproduce exactly: the
+/// transcript, the frame marks, and the server engine's whole registry
+/// snapshot as its serialized `Metrics` response — window depths, the
+/// connection gauge, memo replays, latencies on the simulated clock.
+fn session_fingerprint(session: &WireSession) -> (&[String], &[u64], String) {
+    (
+        &session.transcript,
+        &session.marks,
+        serde::to_string(&session.engine.handle(&Request::Metrics)),
+    )
+}
+
+/// Runs the fault-free call-by-call session over `scripts` twice.  Both
+/// runs must be identical ([`session_fingerprint`]) and wire-transparent:
+/// the transcript must equal `expected`, the in-process oracles'
+/// transcripts in client order.  Returns the first run.
+fn repeatable_session(
+    seed: u64,
+    scripts: &[&[Request]],
+    expected: &[String],
+    context: &str,
+    stats: &mut ExploreStats,
+) -> Result<WireSession, String> {
+    let first = wire_session(seed, scripts, None, false, false, stats)?;
+    let second = wire_session(seed, scripts, None, false, false, stats)?;
+    if session_fingerprint(&first) != session_fingerprint(&second) {
+        return Err(format!(
+            "seed {seed}: phase N {context}: same seed produced different sessions \
+             (transcript, frame marks or server registry differ)"
+        ));
+    }
+    if first.transcript != expected {
+        return Err(format!(
+            "seed {seed}: phase N {context}: fault-free session diverged from the \
+             in-process oracle\n  oracle: {expected:?}\n  wire:   {:?}",
+            first.transcript
+        ));
+    }
+    Ok(first)
+}
+
 /// Phase N: the scripted session must be wire-transparent (byte-equal to
 /// the in-process oracle) when fault-free, deterministic per seed, and —
 /// under a cut at any byte of the conversation — the resilient client's
 /// reconnect-and-retry must reproduce the *identical* transcript:
 /// acknowledged mutations survive, retried mutations apply exactly once
 /// (the final `WorkspaceInfo` revision would expose a double-apply), and
-/// drains answer fully-received requests.
+/// drains answer fully-received requests.  Two clients connected at once,
+/// each on its own workspace, must each match their own oracle too.
 fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Result<(), String> {
     let script = phase_n_script(seed, cfg);
-
-    // The never-dropped oracle: same requests, no network at all.
-    let oracle = Engine::new(EngineConfig::default());
-    let mut expected = Vec::with_capacity(script.len());
-    for request in &script {
-        let response = oracle.handle(request);
-        if !response.is_ok() {
-            return Err(format!(
-                "seed {seed}: phase N oracle: {request:?} failed: {response:?}"
-            ));
-        }
-        expected.push(serde::to_string(&response));
-    }
-
-    // Fault-free baseline, twice: deterministic and wire-transparent.
-    let baseline = wire_session(seed, &script, None, false, false, stats)?;
-    let again = wire_session(seed, &script, None, false, false, stats)?;
-    if again.transcript != baseline.transcript || again.marks != baseline.marks {
-        return Err(format!(
-            "seed {seed}: phase N: same seed produced different sessions \
-             (the network simulation is nondeterministic)"
-        ));
-    }
-    if baseline.transcript != expected {
-        return Err(format!(
-            "seed {seed}: phase N: fault-free session diverged from the in-process \
-             oracle\n  oracle: {expected:?}\n  wire:   {:?}",
-            baseline.transcript
-        ));
-    }
+    let expected = oracle_transcript(seed, &script)?;
+    let baseline = repeatable_session(seed, &[&script], &expected, "baseline", stats)?;
     stats.net_executions += 2;
+
+    let pair = [
+        client_script("wa", seed ^ 0x4A00, cfg),
+        client_script("wb", seed ^ 0x4B00, cfg),
+    ];
+    let expected_pair = [
+        oracle_transcript(seed, &pair[0])?,
+        oracle_transcript(seed, &pair[1])?,
+    ]
+    .concat();
+    repeatable_session(
+        seed,
+        &[&pair[0], &pair[1]],
+        &expected_pair,
+        "two clients",
+        stats,
+    )?;
+    stats.net_concurrent_sessions += 2;
 
     // Cut the wire before the first byte, at every frame boundary, and
     // inside every frame of the baseline conversation.
@@ -1413,7 +1484,7 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
         prev = mark;
     }
     for &(cut, is_mid) in &cut_points {
-        let transcript = wire_session(seed, &script, Some(cut), false, false, stats)?.transcript;
+        let transcript = wire_session(seed, &[&script], Some(cut), false, false, stats)?.transcript;
         if transcript != expected {
             return Err(format!(
                 "seed {seed}: phase N cut@{cut}: transcript diverged from the \
@@ -1436,7 +1507,7 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     // with the same request ids over a fresh connection.  Exactly-once
     // demands the applied prefix answers from the idempotency memo, so
     // the transcript must still byte-match the never-dropped oracle.
-    let pipelined = wire_session(seed, &script, None, true, false, stats)?;
+    let pipelined = wire_session(seed, &[&script], None, true, false, stats)?;
     if pipelined.transcript != expected {
         return Err(format!(
             "seed {seed}: phase N pipelined: fault-free burst diverged from the \
@@ -1455,7 +1526,7 @@ fn phase_n_network(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
         prev = mark;
     }
     for &cut in &pipe_cuts {
-        let transcript = wire_session(seed, &script, Some(cut), true, false, stats)?.transcript;
+        let transcript = wire_session(seed, &[&script], Some(cut), true, false, stats)?.transcript;
         if transcript != expected {
             return Err(format!(
                 "seed {seed}: phase N pipelined cut@{cut}: transcript diverged \
@@ -1683,7 +1754,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     // once, the connection gauge drained, one request-latency sample and
     // one `server.request` span per scripted request (the shutdown frame
     // records neither).
-    let baseline = wire_session(seed, &script, None, false, false, stats)?;
+    let baseline = wire_session(seed, &[&script], None, false, false, stats)?;
     let context = "net baseline";
     let (retries, reconnects, sleeps) = baseline.client_counters;
     metric_check(seed, context, "client_retries", retries, 0)?;
@@ -1748,7 +1819,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
         cuts.push(mid); // a mid-script frame boundary
     }
     for &cut in &cuts {
-        let session = wire_session(seed, &script, Some(cut), false, false, stats)?;
+        let session = wire_session(seed, &[&script], Some(cut), false, false, stats)?;
         let context = format!("net cut@{cut}");
         let (retries, reconnects, sleeps) = session.client_counters;
         metric_check(seed, &context, "client_retries", retries, 1)?;
@@ -1776,7 +1847,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     // replies lost — the replay of that prefix must come from the
     // idempotency memo (never re-execute), and the retry must be exactly
     // one.
-    let pipelined = wire_session(seed, &script, None, true, false, stats)?;
+    let pipelined = wire_session(seed, &[&script], None, true, false, stats)?;
     let (retries, reconnects, sleeps) = pipelined.client_counters;
     metric_check(seed, "pipelined baseline", "client_retries", retries, 0)?;
     metric_check(
@@ -1795,7 +1866,7 @@ fn phase_m_net_metrics(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> 
     )?;
     stats.metric_net_checks += 1;
     if let Some(&burst_mark) = pipelined.marks.first() {
-        let session = wire_session(seed, &script, Some(burst_mark), true, false, stats)?;
+        let session = wire_session(seed, &[&script], Some(burst_mark), true, false, stats)?;
         let context = format!("pipelined cut@{burst_mark}");
         let (retries, reconnects, sleeps) = session.client_counters;
         metric_check(seed, &context, "client_retries", retries, 1)?;
@@ -1989,7 +2060,7 @@ fn check_trace_causality(
 fn phase_t_tracing(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Result<(), String> {
     let script = phase_n_script(seed, cfg);
 
-    let baseline = wire_session(seed, &script, None, false, true, stats)?;
+    let baseline = wire_session(seed, &[&script], None, false, true, stats)?;
     if baseline.client_counters != (0, 0, 0) {
         return Err(format!(
             "seed {seed}: phase T: fault-free baseline retried: {:?}",
@@ -2006,7 +2077,7 @@ fn phase_t_tracing(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     // exchange).
     let script_marks = &baseline.marks[..baseline.marks.len().saturating_sub(2)];
     if let Some(&mid) = script_marks.get(script_marks.len() / 2) {
-        let session = wire_session(seed, &script, Some(mid), false, true, stats)?;
+        let session = wire_session(seed, &[&script], Some(mid), false, true, stats)?;
         let (retries, _, _) = session.client_counters;
         if retries == 0 {
             return Err(format!(
@@ -2024,12 +2095,12 @@ fn phase_t_tracing(seed: u64, cfg: &SimConfig, stats: &mut ExploreStats) -> Resu
     // The pipelined burst, fault-free and cut at its first completed
     // write — a guaranteed mid-batch loss forcing a whole-batch replay
     // under fresh attempt spans.
-    let pipelined = wire_session(seed, &script, None, true, true, stats)?;
+    let pipelined = wire_session(seed, &[&script], None, true, true, stats)?;
     let (checked, _) = check_trace_causality(seed, "trace pipelined", &pipelined, 0)?;
     stats.trace_sessions += 1;
     stats.trace_spans_checked += checked;
     if let Some(&burst) = pipelined.marks.first() {
-        let session = wire_session(seed, &script, Some(burst), true, true, stats)?;
+        let session = wire_session(seed, &[&script], Some(burst), true, true, stats)?;
         let (retries, _, _) = session.client_counters;
         let (checked, links) = check_trace_causality(
             seed,
@@ -2211,6 +2282,8 @@ mod tests {
             2 + stats.net_boundary_cuts + stats.net_mid_frame_cuts,
             "stats: {stats:?}"
         );
+        // The two-client session, run twice.
+        assert_eq!(stats.net_concurrent_sessions, 2, "stats: {stats:?}");
         // Phase N pipelined sub-sweep: the burst collapses the client
         // side to two frames (batch + shutdown) but the server still
         // answers frame-by-frame, so there are ≥ 11 marks to cut at
@@ -2265,7 +2338,7 @@ mod tests {
         let mut stats = ExploreStats::default();
 
         let baseline =
-            wire_session(seed, &script, None, false, false, &mut stats).expect("baseline");
+            wire_session(seed, &[&script], None, false, false, &mut stats).expect("baseline");
         assert_eq!(baseline.client_counters, (0, 0, 0));
         let registry = baseline.engine.registry();
         assert_eq!(registry.engine_requests.get(), 9, "script + shutdown");
@@ -2275,7 +2348,7 @@ mod tests {
         // (writes alternate request/reply), a churn mutation.
         let cut = baseline.marks[4];
         let session =
-            wire_session(seed, &script, Some(cut), false, false, &mut stats).expect("cut run");
+            wire_session(seed, &[&script], Some(cut), false, false, &mut stats).expect("cut run");
         assert_eq!(session.transcript, baseline.transcript, "exactly-once held");
         assert_eq!(
             session.client_counters,
@@ -2291,11 +2364,11 @@ mod tests {
         assert_eq!(registry.engine_requests.get(), 9, "nothing re-executed");
 
         let pipelined =
-            wire_session(seed, &script, None, true, false, &mut stats).expect("pipelined");
+            wire_session(seed, &[&script], None, true, false, &mut stats).expect("pipelined");
         assert_eq!(pipelined.client_counters, (0, 0, 0));
         let burst = pipelined.marks[0];
-        let session =
-            wire_session(seed, &script, Some(burst), true, false, &mut stats).expect("burst cut");
+        let session = wire_session(seed, &[&script], Some(burst), true, false, &mut stats)
+            .expect("burst cut");
         assert_eq!(session.transcript, baseline.transcript, "exactly-once held");
         assert_eq!(session.client_counters, (1, 1, 1));
         let registry = session.engine.registry();
@@ -2309,6 +2382,18 @@ mod tests {
             9,
             "1 applied + 7 replayed-and-executed + the shutdown"
         );
+    }
+
+    /// A pipelined burst that the wire delivers whole is dispatched as
+    /// one server window deeper than one request.
+    #[test]
+    fn pipelined_session_dispatches_deep_windows() {
+        // Seed 1's draw delivers the burst whole (about half do).
+        let seed = 1;
+        let script = phase_n_script(seed, &SimConfig::smoke());
+        let mut stats = ExploreStats::default();
+        wire_session(seed, &[&script], None, true, false, &mut stats).expect("pipelined");
+        assert!(stats.deep_windows > 0, "stats: {stats:?}");
     }
 
     /// Clean shutdown flushes the commit queue: `sync_all` racing

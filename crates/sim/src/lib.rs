@@ -69,7 +69,7 @@ pub use env::SimEnv;
 pub use fs::{FaultPlan, SimFs};
 pub use harness::{explore, sweep, ExploreStats, SimConfig, SweepOutcome};
 pub use net::{NetFaultPlan, SimNet};
-pub use sched::SimScheduler;
+pub use sched::{SimScheduler, SimTask};
 
 /// One step of the splitmix64 sequence (the crate's only random source —
 /// everything in the simulator derives from an explicit seed).

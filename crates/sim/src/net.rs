@@ -5,9 +5,12 @@
 //! out connection endpoints backed by two in-memory byte pipes (one per
 //! direction).  Every transfer is deterministic given the seed:
 //!
-//! * **partial frames** — `write_all` delivers in seeded 1–7-byte chunks
-//!   with a scheduler yield between chunks, so a peer's reads observe
-//!   every possible frame fragmentation;
+//! * **partial frames** — each `write_all` makes one seeded draw: it
+//!   either delivers the whole buffer as one chunk, or in seeded
+//!   1–7-byte chunks, with a scheduler yield before each chunk.  A
+//!   peer's reads thus observe every possible frame fragmentation, and
+//!   also whole pipelined bursts that arrive at once (so the server can
+//!   dispatch windows deeper than one request);
 //! * **drops at any byte boundary** — a [`NetFaultPlan::cut_at`] cuts the
 //!   connection after exactly that many delivered payload bytes (counted
 //!   across all connections, in delivery order): the prefix is delivered,
@@ -17,8 +20,8 @@
 //!   close so later reads see EOF and later writes `BrokenPipe`;
 //! * **stalls** — a connection nobody writes to simply never delivers;
 //!   blocked reads honor their deadline against the shared
-//!   [`ManualClock`], advancing it by a configurable wait tick per empty
-//!   poll so timeouts fire without real time passing;
+//!   [`ManualClock`], advancing it by a fixed wait tick per empty poll
+//!   so timeouts fire without real time passing;
 //! * **refused connects** — [`NetFaultPlan::refuse_connects`] makes the
 //!   next N connects fail with `ConnectionRefused` (and connects to a
 //!   dropped listener always do), driving the client's backoff path.
@@ -40,9 +43,8 @@ use std::time::Duration;
 /// Clock advance per empty blocking poll (read with no data, accept with
 /// no pending connection).  Large enough that deadline-based code (the
 /// server's 200 ms shutdown poll, the client's per-request timeout)
-/// converges in a few hundred iterations; override with
-/// [`SimNet::set_wait_tick`] when a test wants near-frozen time.
-const DEFAULT_WAIT_TICK: Duration = Duration::from_millis(1);
+/// converges in a few hundred iterations.
+const WAIT_TICK: Duration = Duration::from_millis(1);
 
 /// Maximum seeded chunk size of one delivery step.
 const MAX_CHUNK: u64 = 7;
@@ -111,9 +113,8 @@ struct NetState {
 #[derive(Debug)]
 pub struct SimNet {
     clock: Arc<ManualClock>,
-    sched: Mutex<Option<Arc<SimScheduler>>>,
+    sched: Option<Arc<SimScheduler>>,
     state: Mutex<NetState>,
-    wait_tick: Mutex<Duration>,
     conn_counter: AtomicU64,
     /// Back-reference to the owning `Arc` (set by [`SimNet::new`]), so
     /// the object-safe `&self` methods of [`Net`] can hand connections
@@ -133,7 +134,7 @@ impl SimNet {
     ) -> Arc<SimNet> {
         Arc::new_cyclic(|this| SimNet {
             clock,
-            sched: Mutex::new(sched),
+            sched,
             state: Mutex::new(NetState {
                 rng: seed ^ 0x0005_1E70_F00D,
                 refuse_remaining: plan.refuse_connects,
@@ -142,7 +143,6 @@ impl SimNet {
                 write_marks: Vec::new(),
                 listeners: HashMap::new(),
             }),
-            wait_tick: Mutex::new(DEFAULT_WAIT_TICK),
             conn_counter: AtomicU64::new(0),
             this: this.clone(),
         })
@@ -150,14 +150,6 @@ impl SimNet {
 
     fn arc(&self) -> Arc<SimNet> {
         self.this.upgrade().expect("SimNet is alive while in use")
-    }
-
-    /// Overrides the clock advance per empty blocking poll.
-    /// `Duration::ZERO` leaves time to the clock's own auto-tick — the
-    /// near-frozen-time mode the drain-grace tests use to keep a grace
-    /// window open across many real-thread scheduling quanta.
-    pub fn set_wait_tick(&self, tick: Duration) {
-        *self.wait_tick.lock().expect("wait tick") = tick;
     }
 
     /// Total payload bytes delivered so far, across all connections.
@@ -175,8 +167,7 @@ impl SimNet {
     /// the deterministic scheduler when one is attached, otherwise to the
     /// OS (real-thread tests).
     fn step(&self) {
-        let sched = self.sched.lock().expect("scheduler slot").clone();
-        match sched {
+        match &self.sched {
             Some(s) => s.maybe_yield(),
             None => std::thread::yield_now(),
         }
@@ -184,10 +175,7 @@ impl SimNet {
 
     /// Clock advance for one empty poll.
     fn wait(&self) {
-        let tick = *self.wait_tick.lock().expect("wait tick");
-        if tick > Duration::ZERO {
-            self.clock.advance(tick);
-        }
+        self.clock.advance(WAIT_TICK);
     }
 }
 
@@ -269,6 +257,8 @@ impl NetConn for SimConn {
 
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         let mut offset = 0;
+        // One draw per write: the whole buffer as one chunk, or chunks.
+        let whole = splitmix(&mut self.net.state.lock().expect("net state").rng).is_multiple_of(2);
         // Empty writes still complete a (zero-byte) delivery — no mark.
         while offset < buf.len() {
             self.net.step();
@@ -282,7 +272,11 @@ impl NetConn for SimConn {
                     ));
                 }
             }
-            let chunk = 1 + (splitmix(&mut st.rng) % MAX_CHUNK) as usize;
+            let chunk = if whole {
+                buf.len() - offset
+            } else {
+                1 + (splitmix(&mut st.rng) % MAX_CHUNK) as usize
+            };
             let end = (offset + chunk).min(buf.len());
             let mut piece = &buf[offset..end];
             let mut cut_now = false;
@@ -611,109 +605,138 @@ mod tests {
         );
     }
 
+    /// A server over a scheduled [`SimNet`] at `addr`, plus the network
+    /// and environment its peers connect through.
+    fn scheduled_server(
+        seed: u64,
+        addr: &str,
+        plan: NetFaultPlan,
+    ) -> (Arc<SimScheduler>, Arc<SimNet>, Arc<dyn Env>, Server) {
+        let sched = Arc::new(SimScheduler::new(seed));
+        let env = SimEnv::with_scheduler(Arc::new(SimFs::new()), Arc::clone(&sched), seed);
+        let net = SimNet::new(env.clock_handle(), Some(Arc::clone(&sched)), seed, plan);
+        let env: Arc<dyn Env> = Arc::new(env.with_net(Arc::clone(&net)));
+        let engine = Arc::new(Engine::with_env(EngineConfig::default(), Arc::clone(&env)));
+        let server = Server::bind(addr, engine).unwrap();
+        (sched, net, env, server)
+    }
+
     /// Satellite regression (drain-grace edge): a client that sends half
     /// a frame and then stalls is closed at the drain deadline without a
     /// reply — shutdown cannot be held open by a stalled peer, and a
-    /// never-completed request gets no answer.
+    /// never-completed request gets no answer.  The server, the stalled
+    /// peer and the client run as scheduler tasks, so every clock tick
+    /// comes from a seeded step.
     #[test]
     fn half_frame_stall_is_closed_at_the_drain_deadline_without_reply() {
-        let env = SimEnv::new(Arc::new(SimFs::new()), 5);
-        let clock = env.clock_handle();
-        let net = SimNet::new(Arc::clone(&clock), None, 5, NetFaultPlan::none());
-        let env: Arc<dyn Env> = Arc::new(env.with_net(Arc::clone(&net)));
-        let engine = Arc::new(Engine::with_env(EngineConfig::default(), Arc::clone(&env)));
-        let server = Server::bind("sim:drain", engine).unwrap();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let (sched, net, env, server) = scheduled_server(5, "sim:drain", NetFaultPlan::none());
+        let clock = Arc::clone(&net.clock);
+        // Connected and half-written before any task runs, so the server
+        // accepts it ahead of the client.
         let mut stalled = net.connect("sim:drain").unwrap();
         stalled.write_all(b"{\"op\":\"ping\"").unwrap(); // half a frame, then silence
-        let mut client = Client::connect_with("sim:drain", Arc::clone(&env)).unwrap();
-        assert!(matches!(
-            client.call(&Request::Shutdown).unwrap(),
-            Response::ShuttingDown
-        ));
-        let t0 = clock.monotonic();
-        // The stalled connection is closed once its grace window passes;
-        // no reply bytes ever arrive for the half frame.
-        let mut buf = [0u8; 64];
-        let n = stalled
-            .read(&mut buf, Some(Duration::from_secs(60)))
-            .unwrap();
-        assert_eq!(n, 0, "closed without a reply");
-        let waited = clock.monotonic().saturating_sub(t0);
-        assert!(
-            waited >= Duration::from_millis(250),
-            "closed only after a grace window, not immediately (waited {waited:?})"
-        );
-        assert!(
-            waited <= Duration::from_secs(5),
-            "closed near the deadline, not arbitrarily late (waited {waited:?})"
-        );
-        handle.join().unwrap();
+        let acked_at = Arc::new(Mutex::new(None));
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+            Box::new(move || server.run().unwrap()),
+            {
+                let acked_at = Arc::clone(&acked_at);
+                Box::new(move || {
+                    // The stalled connection is closed once its grace
+                    // window passes; no reply bytes ever arrive for the
+                    // half frame.
+                    let mut buf = [0u8; 64];
+                    let n = stalled
+                        .read(&mut buf, Some(Duration::from_secs(60)))
+                        .unwrap();
+                    assert_eq!(n, 0, "closed without a reply");
+                    let t0 = acked_at
+                        .lock()
+                        .unwrap()
+                        .expect("shutdown acknowledged first");
+                    let waited = clock.monotonic().saturating_sub(t0);
+                    assert!(
+                        waited >= Duration::from_millis(250),
+                        "closed only after a grace window, not immediately (waited {waited:?})"
+                    );
+                    assert!(
+                        waited <= Duration::from_secs(5),
+                        "closed near the deadline, not arbitrarily late (waited {waited:?})"
+                    );
+                })
+            },
+            Box::new(move || {
+                let mut client = Client::connect_with("sim:drain", Arc::clone(&env)).unwrap();
+                assert!(matches!(
+                    client.call(&Request::Shutdown).unwrap(),
+                    Response::ShuttingDown
+                ));
+                *acked_at.lock().unwrap() = Some(env.clock().monotonic());
+            }),
+        ];
+        sched.run(tasks).expect("no task panicked");
     }
 
     /// Satellite regression (drain-grace edge): a frame that *completes*
     /// within the grace window is answered before the connection closes.
     #[test]
     fn frame_completing_within_the_grace_window_is_answered() {
-        let env = SimEnv::new(Arc::new(SimFs::new()), 6);
-        let net = SimNet::new(env.clock_handle(), None, 6, NetFaultPlan::none());
-        // Near-frozen time: only the clock's 1µs auto-tick advances it,
-        // so the 500 ms grace spans hundreds of thousands of poll
-        // iterations — the completing write below cannot lose the race
-        // against the deadline.
-        net.set_wait_tick(Duration::ZERO);
-        let env: Arc<dyn Env> = Arc::new(env.with_net(Arc::clone(&net)));
-        let engine = Arc::new(Engine::with_env(EngineConfig::default(), Arc::clone(&env)));
-        let server = Server::bind("sim:late", engine).unwrap();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let (sched, net, env, server) = scheduled_server(6, "sim:late", NetFaultPlan::none());
         let mut late = net.connect("sim:late").unwrap();
         late.write_all(b"{\"op\":").unwrap(); // half a frame
-        let mut client = Client::connect_with("sim:late", Arc::clone(&env)).unwrap();
-        assert!(matches!(
-            client.call(&Request::Shutdown).unwrap(),
-            Response::ShuttingDown
-        ));
-        // Complete the frame inside the grace window: it must be served.
-        late.write_all(b"\"ping\"}\n").unwrap();
-        let mut got = Vec::new();
-        let mut buf = [0u8; 256];
-        while !got.contains(&b'\n') {
-            let n = late.read(&mut buf, Some(Duration::from_secs(600))).unwrap();
-            assert!(n > 0, "closed before answering the completed frame");
-            got.extend_from_slice(&buf[..n]);
-        }
-        let line = std::str::from_utf8(&got).unwrap().trim();
-        assert!(
-            matches!(serde::from_str::<Response>(line), Ok(Response::Pong)),
-            "expected a pong, got `{line}`"
-        );
-        drop(late); // EOF lets the draining connection finish
-        handle.join().unwrap();
+        let acked = Arc::new(AtomicBool::new(false));
+        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+            Box::new(move || server.run().unwrap()),
+            {
+                let env = Arc::clone(&env);
+                let acked = Arc::clone(&acked);
+                Box::new(move || {
+                    while !acked.load(Ordering::SeqCst) {
+                        env.yield_point("test.await_shutdown_ack");
+                    }
+                    // Complete the frame inside the grace window: it must
+                    // be served.
+                    late.write_all(b"\"ping\"}\n").unwrap();
+                    let mut got = Vec::new();
+                    let mut buf = [0u8; 256];
+                    while !got.contains(&b'\n') {
+                        let n = late.read(&mut buf, Some(Duration::from_secs(600))).unwrap();
+                        assert!(n > 0, "closed before answering the completed frame");
+                        got.extend_from_slice(&buf[..n]);
+                    }
+                    let line = std::str::from_utf8(&got).unwrap().trim();
+                    assert!(
+                        matches!(serde::from_str::<Response>(line), Ok(Response::Pong)),
+                        "expected a pong, got `{line}`"
+                    );
+                    drop(late); // EOF lets the draining connection finish
+                })
+            },
+            Box::new(move || {
+                let mut client = Client::connect_with("sim:late", env).unwrap();
+                assert!(matches!(
+                    client.call(&Request::Shutdown).unwrap(),
+                    Response::ShuttingDown
+                ));
+                acked.store(true, Ordering::SeqCst);
+            }),
+        ];
+        sched.run(tasks).expect("no task panicked");
     }
 
-    /// One scripted create→add→info session against a sequential server
-    /// under the deterministic scheduler, optionally cutting the
+    /// One scripted create→add→info session against the production
+    /// server under the deterministic scheduler, optionally cutting the
     /// connection after `cut_at` delivered bytes.  Returns the frame
     /// marks and the response transcript (shutdown excluded).
     fn scripted_run(seed: u64, cut_at: Option<u64>) -> (Vec<u64>, Vec<String>) {
-        let sched = Arc::new(SimScheduler::new(seed));
-        let env = SimEnv::with_scheduler(Arc::new(SimFs::new()), Arc::clone(&sched), seed);
-        let net = SimNet::new(
-            env.clock_handle(),
-            Some(Arc::clone(&sched)),
-            seed,
-            NetFaultPlan {
-                refuse_connects: 0,
-                cut_at,
-            },
-        );
-        let env: Arc<dyn Env> = Arc::new(env.with_net(Arc::clone(&net)));
-        let engine = Arc::new(Engine::with_env(EngineConfig::default(), Arc::clone(&env)));
-        let server = Server::bind("sim:once", engine).unwrap();
+        let plan = NetFaultPlan {
+            refuse_connects: 0,
+            cut_at,
+        };
+        let (sched, net, env, server) = scheduled_server(seed, "sim:once", plan);
         let transcript = Arc::new(Mutex::new(Vec::new()));
         let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
             Box::new(move || {
-                server.run_sequential().expect("server run");
+                server.run().expect("server run");
             }),
             {
                 let env = Arc::clone(&env);

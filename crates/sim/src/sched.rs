@@ -6,17 +6,23 @@
 //! inside the code under test are never contended *between registered
 //! tasks* — which is what makes yielding safe under the call discipline
 //! documented in `cqfit-env` (never yield while holding a lock another
-//! registered task can block on).  Threads the code under test spawns
-//! itself (e.g. the engine's scoped hom-computation pool) are not
-//! registered and run freely inside their spawning task's time slice.
+//! registered task can block on).  Tasks register through
+//! [`SimScheduler::spawn`] — the simulated [`cqfit_env::Env::spawn`] —
+//! either up front ([`SimScheduler::run`]) or from a running task, as
+//! the server does for each connection.  Threads the code under test
+//! starts with `std::thread` itself (e.g. the hom crate's scoped worker
+//! pool) are not registered and run freely inside their spawning task's
+//! time slice.
 //!
 //! The switch sequence derives entirely from the seed, so a failing
 //! interleaving replays exactly from its seed.
 
 use crate::splitmix;
+use cqfit_env::{panic_message, TaskHandle};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
@@ -24,6 +30,8 @@ enum TaskState {
     Ready,
     /// The single task currently executing.
     Running,
+    /// Parked in [`TaskHandle::join`] until the given task is done.
+    Joining(usize),
     /// Finished (normally or by panic).
     Done,
 }
@@ -33,6 +41,9 @@ struct Shared {
     states: Vec<TaskState>,
     current: Option<usize>,
     rng: u64,
+    /// `(task id, message)` of every task that panicked, in completion
+    /// order.
+    panics: Vec<(usize, String)>,
 }
 
 impl Shared {
@@ -67,6 +78,8 @@ thread_local! {
 pub struct SimScheduler {
     shared: Mutex<Shared>,
     cv: Condvar,
+    /// The OS threads behind every registered task, joined by `run`.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl SimScheduler {
@@ -78,6 +91,7 @@ impl SimScheduler {
                 ..Shared::default()
             }),
             cv: Condvar::new(),
+            threads: Mutex::new(Vec::new()),
         }
     }
 
@@ -85,49 +99,58 @@ impl SimScheduler {
         Arc::as_ptr(self) as usize
     }
 
-    /// Runs the tasks to completion under deterministic interleaving.
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("scheduler state")
+    }
+
+    /// The id of the calling thread's task, if it is registered with
+    /// *this* scheduler.
+    fn registered_id(self: &Arc<Self>) -> Option<usize> {
+        let me = self.identity();
+        CURRENT_TASK.with(|c| {
+            c.borrow()
+                .as_ref()
+                .and_then(|&(owner, id)| (owner == me).then_some(id))
+        })
+    }
+
+    /// Spawns each task, then waits until every registered task —
+    /// including those the tasks spawn themselves — has finished.
     /// Panics inside tasks are caught (so the run always drains) and
     /// returned as messages.
     ///
     /// # Errors
     /// The panic messages of every task that panicked, in completion
     /// order.
+    ///
+    /// # Panics
+    /// When every unfinished task is parked in a join (a join cycle).
     pub fn run(self: &Arc<Self>, tasks: Vec<Box<dyn FnOnce() + Send>>) -> Result<(), Vec<String>> {
-        {
-            let mut sh = self.shared.lock().expect("scheduler state");
-            sh.states = vec![TaskState::Ready; tasks.len()];
-            sh.current = None;
+        for task in tasks {
+            self.spawn(task);
         }
-        let panics: Mutex<Vec<String>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for (id, task) in tasks.into_iter().enumerate() {
-                let sched = Arc::clone(self);
-                let panics = &panics;
-                scope.spawn(move || {
-                    CURRENT_TASK.with(|c| *c.borrow_mut() = Some((sched.identity(), id)));
-                    sched.wait_turn(id);
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        panics
-                            .lock()
-                            .expect("panic list")
-                            .push(format!("task {id}: {msg}"));
-                    }
-                    CURRENT_TASK.with(|c| *c.borrow_mut() = None);
-                    sched.finish(id);
-                });
-            }
-            // Every task parks in `wait_turn` until this first pick.
-            let mut sh = self.shared.lock().expect("scheduler state");
+        let mut sh = self.lock();
+        // Every task parks in `wait_turn` until this first pick.
+        if sh.current.is_none() {
             sh.pick_next();
-            drop(sh);
             self.cv.notify_all();
-        });
-        let panics = panics.into_inner().expect("panic list");
+        }
+        while !sh.states.iter().all(|s| *s == TaskState::Done) {
+            assert!(
+                sh.current.is_some(),
+                "simulated deadlock: every unfinished task waits in a join"
+            );
+            sh = self.cv.wait(sh).expect("scheduler state");
+        }
+        let panics: Vec<String> = std::mem::take(&mut sh.panics)
+            .into_iter()
+            .map(|(id, msg)| format!("task {id}: {msg}"))
+            .collect();
+        drop(sh);
+        let threads = std::mem::take(&mut *self.threads.lock().expect("task threads"));
+        for thread in threads {
+            let _ = thread.join();
+        }
         if panics.is_empty() {
             Ok(())
         } else {
@@ -135,53 +158,122 @@ impl SimScheduler {
         }
     }
 
+    /// Registers `task`, ready to be picked at the next switch decision.
+    /// Its thread parks until then, so a task spawned outside a running
+    /// task first runs under [`SimScheduler::run`].  Called from a
+    /// running task, the caller keeps running: a spawn is not a switch
+    /// point.
+    pub fn spawn(self: &Arc<Self>, task: Box<dyn FnOnce() + Send>) -> SimTask {
+        let id = {
+            let mut sh = self.lock();
+            sh.states.push(TaskState::Ready);
+            sh.states.len() - 1
+        };
+        let sched = Arc::clone(self);
+        let thread = std::thread::spawn(move || {
+            CURRENT_TASK.with(|c| *c.borrow_mut() = Some((sched.identity(), id)));
+            sched.wait_turn(id);
+            let panicked = catch_unwind(AssertUnwindSafe(task))
+                .err()
+                .map(|payload| panic_message(payload.as_ref()));
+            CURRENT_TASK.with(|c| *c.borrow_mut() = None);
+            sched.finish(id, panicked);
+        });
+        self.threads.lock().expect("task threads").push(thread);
+        SimTask {
+            sched: Arc::clone(self),
+            id,
+        }
+    }
+
     /// Called from [`cqfit_env::Env::yield_point`]: if the calling thread
     /// is a task registered with *this* scheduler, park it and let the
     /// seeded pick decide who runs next.  No-op on unregistered threads.
     pub fn maybe_yield(self: &Arc<Self>) {
-        let me = self.identity();
-        let id = CURRENT_TASK.with(|c| {
-            c.borrow()
-                .as_ref()
-                .and_then(|&(owner, id)| (owner == me).then_some(id))
-        });
-        if let Some(id) = id {
-            self.yield_now(id);
+        if let Some(id) = self.registered_id() {
+            self.park(self.lock(), id, TaskState::Ready);
         }
     }
 
     fn wait_turn(&self, id: usize) {
-        let mut sh = self.shared.lock().expect("scheduler state");
+        let mut sh = self.lock();
         while sh.current != Some(id) {
             sh = self.cv.wait(sh).expect("scheduler state");
         }
         sh.states[id] = TaskState::Running;
     }
 
-    fn yield_now(&self, id: usize) {
-        let mut sh = self.shared.lock().expect("scheduler state");
-        debug_assert_eq!(sh.current, Some(id), "yield from a descheduled task");
-        sh.states[id] = TaskState::Ready;
+    /// Parks the running task `id` in `state` and waits until the seeded
+    /// pick chooses it again.
+    fn park(&self, mut sh: MutexGuard<'_, Shared>, id: usize, state: TaskState) {
+        debug_assert_eq!(sh.current, Some(id), "park from a descheduled task");
+        sh.states[id] = state;
         sh.pick_next();
-        if sh.current == Some(id) {
-            sh.states[id] = TaskState::Running;
-            return;
-        }
-        self.cv.notify_all();
-        while sh.current != Some(id) {
-            sh = self.cv.wait(sh).expect("scheduler state");
+        if sh.current != Some(id) {
+            self.cv.notify_all();
+            while sh.current != Some(id) {
+                sh = self.cv.wait(sh).expect("scheduler state");
+            }
         }
         sh.states[id] = TaskState::Running;
     }
 
-    fn finish(&self, id: usize) {
-        let mut sh = self.shared.lock().expect("scheduler state");
+    fn join(self: &Arc<Self>, target: usize) -> Result<(), String> {
+        let mut sh = self.lock();
+        if sh.states[target] != TaskState::Done {
+            match self.registered_id() {
+                Some(me) => {
+                    self.park(sh, me, TaskState::Joining(target));
+                    sh = self.lock();
+                }
+                None => {
+                    while sh.states[target] != TaskState::Done {
+                        sh = self.cv.wait(sh).expect("scheduler state");
+                    }
+                }
+            }
+        }
+        match sh.panics.iter().find(|(id, _)| *id == target) {
+            Some((_, msg)) => Err(msg.clone()),
+            None => Ok(()),
+        }
+    }
+
+    fn finish(&self, id: usize, panicked: Option<String>) {
+        let mut sh = self.lock();
         sh.states[id] = TaskState::Done;
+        if let Some(msg) = panicked {
+            sh.panics.push((id, msg));
+        }
+        for state in &mut sh.states {
+            if *state == TaskState::Joining(id) {
+                *state = TaskState::Ready;
+            }
+        }
         if sh.current == Some(id) {
             sh.pick_next();
         }
         drop(sh);
         self.cv.notify_all();
+    }
+}
+
+/// A task registered by [`SimScheduler::spawn`].
+#[derive(Debug)]
+pub struct SimTask {
+    sched: Arc<SimScheduler>,
+    id: usize,
+}
+
+impl TaskHandle for SimTask {
+    fn is_finished(&self) -> bool {
+        self.sched.lock().states[self.id] == TaskState::Done
+    }
+
+    /// From a registered task, parks it until the joined task is done;
+    /// from any other thread, blocks.
+    fn join(self: Box<Self>) -> Result<(), String> {
+        self.sched.join(self.id)
     }
 }
 
@@ -276,5 +368,47 @@ mod tests {
         assert_eq!(err.len(), 1);
         assert!(err[0].contains("boom in task"), "got {err:?}");
         assert_eq!(survivor.load(Ordering::SeqCst), 1, "other task completed");
+    }
+
+    /// A task spawned from a running task is scheduled like the rest; a
+    /// join from a task parks it until the joined task is done; a
+    /// spawned task's panic is reported by `run` and by its join.
+    #[test]
+    fn spawned_tasks_are_scheduled_joined_and_reported() {
+        let run = |seed: u64| {
+            let sched = Arc::new(SimScheduler::new(seed));
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let parent = {
+                let sched = Arc::clone(&sched);
+                let events = Arc::clone(&events);
+                Box::new(move || {
+                    let child = {
+                        let sched2 = Arc::clone(&sched);
+                        let events = Arc::clone(&events);
+                        sched.spawn(Box::new(move || {
+                            for step in 0..3 {
+                                events.lock().unwrap().push(format!("child {step}"));
+                                sched2.maybe_yield();
+                            }
+                        }))
+                    };
+                    let failing = sched.spawn(Box::new(|| panic!("boom in spawned task")));
+                    events.lock().unwrap().push("parent spawned".to_string());
+                    assert_eq!(Box::new(child).join(), Ok(()));
+                    events.lock().unwrap().push("parent joined".to_string());
+                    assert_eq!(
+                        Box::new(failing).join(),
+                        Err("boom in spawned task".to_string())
+                    );
+                }) as Box<dyn FnOnce() + Send>
+            };
+            let err = sched.run(vec![parent]).expect_err("the panic surfaces");
+            assert_eq!(err, vec!["task 2: boom in spawned task".to_string()]);
+            Arc::try_unwrap(events).unwrap().into_inner().unwrap()
+        };
+        let events = run(5);
+        assert_eq!(events.len(), 5, "{events:?}");
+        assert_eq!(events.last().map(String::as_str), Some("parent joined"));
+        assert_eq!(run(5), events, "same seed, same interleaving");
     }
 }
